@@ -4,11 +4,12 @@ Two protocols:
 
 1. **Parallel speedup** — fan co-simulated trials (the paper's >24 h
    evaluation path, ~0.4 s/trial here) across 4 worker processes via
-   :class:`ParallelStudyRunner` and compare wall-clock against the
-   serial launcher.  Results must be bit-identical either way (sampling
-   stays in the parent); the ≥2× speedup assertion only runs on
-   machines that actually have ≥4 CPUs — on fewer cores the bench still
-   verifies determinism and reports the measured timing.
+   :class:`PipelinedDispatcher` (``speculate=0``) and compare
+   wall-clock against its serial executor.  Results must be
+   bit-identical either way (sampling stays in the parent); the ≥2×
+   speedup assertion only runs on machines that actually have ≥4 CPUs
+   — on fewer cores the bench still verifies determinism and reports
+   the measured timing.
 
 2. **Kill-and-resume at full scale** — the paper's 350-trial NSGA-II
    protocol, journaled, killed mid-run (journal left with metadata
@@ -30,13 +31,12 @@ import pytest
 from repro.blackbox import (
     JournalStorage,
     NSGA2Sampler,
-    ParallelStudyRunner,
+    PipelinedDispatcher,
     create_study,
 )
 from repro.blackbox.multiobjective import pareto_front_indices
 from repro.blackbox.trial import TrialState
 from repro.cli import main as cli_main
-from repro.confsys import MultiprocessingLauncher, SerialLauncher
 from repro.core.parameterspace import PAPER_SPACE
 from repro.core.study_runner import CompositionObjective, OptimizationRunner
 from repro.units import PERLMUTTER_MEAN_POWER_W
@@ -50,18 +50,23 @@ SEED = 42
 KILL_AFTER = 175
 
 
-def _run_cosim_study(houston, launcher):
+def _run_cosim_study(houston, executor, workers=1):
     study = create_study(
         directions=["minimize", "minimize"],
         sampler=NSGA2Sampler(population_size=N_COSIM_TRIALS, seed=SEED),
         study_name="parallel-bench",
     )
-    runner = ParallelStudyRunner(
-        study, _space_distributions(), launcher=launcher, batch_size=N_COSIM_TRIALS
+    dispatcher = PipelinedDispatcher(
+        study,
+        _space_distributions(),
+        workers=workers,
+        executor=executor,
+        speculate=0,
+        batch_size=N_COSIM_TRIALS,
     )
     objective = CompositionObjective(houston, cosim=True)
     start = time.perf_counter()
-    runner.optimize(objective, n_trials=N_COSIM_TRIALS)
+    dispatcher.optimize(objective, n_trials=N_COSIM_TRIALS)
     elapsed = time.perf_counter() - start
     return study, elapsed
 
@@ -77,10 +82,8 @@ def _space_distributions():
 
 
 def test_parallel_study_speedup(houston, output_dir):
-    serial_study, t_serial = _run_cosim_study(houston, SerialLauncher())
-    parallel_study, t_parallel = _run_cosim_study(
-        houston, MultiprocessingLauncher(n_workers=N_WORKERS)
-    )
+    serial_study, t_serial = _run_cosim_study(houston, "serial")
+    parallel_study, t_parallel = _run_cosim_study(houston, "process", N_WORKERS)
 
     # Determinism holds on any machine: worker count must not change results.
     assert [t.params for t in serial_study.trials] == [

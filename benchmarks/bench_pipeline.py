@@ -3,15 +3,16 @@
 The perf-trajectory point for the pipelined dispatcher (DESIGN.md §10).
 A deterministic **sleep-cost objective** with a heavy-tailed duration
 distribution — most trials are cheap, a seeded minority are 20×
-stragglers — is driven through both parallel drivers on thread workers
+stragglers — is driven through a generation barrier and the pipelined
+dispatcher on thread workers
 (sleeping releases the GIL, so the bench measures real slot concurrency
 even on a single CPU):
 
-1. **Generation-batched** — :class:`ParallelStudyRunner` over a
-   :class:`ThreadLauncher`: every batch waits for its slowest chunk at
-   the barrier.  The run dogfoods the runner's new per-batch
-   ``(dispatch, slowest, idle)`` starvation accounting to measure the
-   worker-seconds the barrier wastes.
+1. **Generation-batched** — a bench-owned generation loop: each
+   generation's trials split into ``WORKERS`` even chunks on a thread
+   pool, and the next generation waits for the slowest chunk at the
+   barrier.  The loop times every dispatch and every trial to measure
+   the worker-seconds the barrier wastes.
 2. **Pipelined, speculation off** — :class:`PipelinedDispatcher` with
    ``speculate=0``: must produce the *bit-identical* trial sequence
    (params and values), asserted unconditionally.
@@ -35,14 +36,15 @@ from __future__ import annotations
 
 import json
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.blackbox.distributions import FloatDistribution
-from repro.blackbox.parallel import ParallelStudyRunner, PipelinedDispatcher
+from repro.blackbox.parallel import PipelinedDispatcher, materialize_params
 from repro.blackbox.samplers.random import RandomSampler
 from repro.blackbox.study import Study
-from repro.confsys.launcher import ThreadLauncher
+from repro.confsys.launcher import chunk_evenly
 
 WORKERS = 4
 BATCH = 16
@@ -83,14 +85,43 @@ def _snapshot(study: Study) -> list:
     return [(t.number, dict(t.params), t.values) for t in study.trials]
 
 
-def run_generational() -> "tuple[Study, float]":
+def _timed_chunk(chunk: "list[dict]") -> "list[tuple[tuple[float, float], float]]":
+    """Evaluate one worker's chunk, timing each trial worker-side."""
+    outcomes = []
+    for params in chunk:
+        start = time.perf_counter()
+        values = sleepy_objective(params)
+        outcomes.append((values, time.perf_counter() - start))
+    return outcomes
+
+
+def run_generational() -> "tuple[Study, float, float]":
+    """Generation barrier: ask a whole generation in the parent, fan it
+    out in ``WORKERS`` even chunks, and wait for every chunk.
+
+    Returns the study, the run's wall-clock, and its idle fraction —
+    ``1 - busy / (WORKERS × dispatch wall)`` summed over generations.
+    """
     study = _study()
-    runner = ParallelStudyRunner(
-        study, SPACE, launcher=ThreadLauncher(WORKERS), batch_size=BATCH
-    )
+    study.sampler.per_trial_seeding = True
+    dispatch = busy = 0.0
     start = time.perf_counter()
-    runner.optimize(sleepy_objective, n_trials=N_TRIALS)
-    return study, time.perf_counter() - start
+    with ThreadPoolExecutor(max_workers=WORKERS) as pool:
+        for first in range(0, N_TRIALS, BATCH):
+            trials = [study.ask() for _ in range(min(BATCH, N_TRIALS - first))]
+            for trial in trials:
+                params = study.sampler.ask(study, trial.number, SPACE)
+                materialize_params(trial, params, SPACE)
+            batch_start = time.perf_counter()
+            chunks = chunk_evenly([dict(t.params) for t in trials], WORKERS)
+            outcomes = [o for chunk in pool.map(_timed_chunk, chunks) for o in chunk]
+            dispatch += time.perf_counter() - batch_start
+            for trial, (values, seconds) in zip(trials, outcomes):
+                busy += seconds
+                study.tell(trial, values)
+    wall = time.perf_counter() - start
+    idle = max(0.0, 1.0 - busy / (dispatch * WORKERS)) if dispatch > 0 else 0.0
+    return study, wall, idle
 
 
 def run_pipelined(speculate: int) -> "tuple[Study, PipelinedDispatcher, float]":
@@ -108,23 +139,12 @@ def run_pipelined(speculate: int) -> "tuple[Study, PipelinedDispatcher, float]":
     return study, dispatcher, time.perf_counter() - start
 
 
-def _barrier_idle(study: Study) -> float:
-    """Run-level idle fraction from the runner's per-batch accounting."""
-    timings = study.metadata["batch_timings"]
-    wall = sum(t["dispatch"] for t in timings)
-    busy = sum(
-        t["dispatch"] * WORKERS * (1.0 - t["idle"]) for t in timings
-    )
-    return max(0.0, 1.0 - busy / (wall * WORKERS)) if wall > 0 else 0.0
-
-
 @pytest.fixture(scope="module")
 def pipeline_runs(output_dir):
-    gen_study, t_gen = run_generational()
+    gen_study, t_gen, idle_gen = run_generational()
     pipe0_study, _, _ = run_pipelined(0)
     spec_study, spec_dispatcher, t_spec = run_pipelined(SPECULATE)
 
-    idle_gen = _barrier_idle(gen_study)
     idle_spec = spec_dispatcher.stats.idle_fraction
     speedup = t_gen / t_spec if t_spec > 0 else float("inf")
     idle_reduction = (idle_gen - idle_spec) / idle_gen if idle_gen > 0 else 0.0

@@ -19,17 +19,14 @@ reimplements the subset of Optuna's API the paper exercises:
   SQLite — any spec the URL registry resolves, e.g.
   ``sqlite:///study.db``), with sharded stores and offline merge for
   multi-worker runs,
-* **parallel trial execution** (:mod:`repro.blackbox.parallel`,
-  DESIGN.md §4) — :class:`ParallelStudyRunner` fans independent trials
-  out across processes with deterministic per-trial RNG seeding,
-* **pipelined, generation-free dispatch** (DESIGN.md §10) —
-  :class:`PipelinedDispatcher` streams candidates to worker slots as
-  they free, optionally breeding the next generation's first candidates
-  speculatively; with speculation off it is bit-identical to the
-  generation-batched runner.
+* **parallel, generation-free dispatch** (:mod:`repro.blackbox.parallel`,
+  DESIGN.md §4, §10) — :class:`PipelinedDispatcher` streams candidates
+  to worker slots as they free, with deterministic per-trial RNG
+  seeding, optionally breeding the next generation's first candidates
+  speculatively.
 
 Storage-aware APIs: ``create_study`` / ``Study.ask`` / ``Study.tell``
-(record through a backend), ``ParallelStudyRunner`` (journals batches as
+(record through a backend), ``PipelinedDispatcher`` (records trials as
 they complete).  Samplers, pruners, and distributions are pure
 strategies and never touch storage themselves.
 """
@@ -61,7 +58,7 @@ from .storage import (
     merge_stores,
     storage_from_url,
 )
-from .parallel import ParallelStudyRunner, PipelinedDispatcher
+from .parallel import PipelinedDispatcher
 
 __all__ = [
     "StudyStorage",
@@ -72,7 +69,6 @@ __all__ = [
     "ShardedStorage",
     "merge_stores",
     "storage_from_url",
-    "ParallelStudyRunner",
     "PipelinedDispatcher",
     "Distribution",
     "FloatDistribution",

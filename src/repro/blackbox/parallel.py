@@ -1,16 +1,19 @@
-"""Parallel trial execution: fan independent trials out across processes.
+"""Parallel trial execution: stream independent trials across worker slots.
 
 The paper's search "parallelize[s] ... across a cluster of compute
 nodes" through Hydra; the co-simulated sweep it replaces took >24 h
-serially.  :class:`ParallelStudyRunner` is the process-level equivalent
-(DESIGN.md §4): it reuses :mod:`repro.confsys.launcher`'s worker-pool
-machinery to evaluate a *batch* of independent trials concurrently
-while keeping all **sampling in the parent process**, so results are
-bit-identical regardless of worker count or scheduling.
+serially.  :class:`PipelinedDispatcher` is the one parallel driver
+(DESIGN.md §4, §10): a coordinator that keeps **all sampling in the
+parent process** and hands each worker slot one candidate (or one
+racing rung slice) at a time, on a thread pool, a spawn process pool,
+inline, or a remote lease queue (DESIGN.md §13).  The in-process
+batched path — one vectorized call per generation — is
+:meth:`repro.core.study_runner.OptimizationRunner.run_blackbox`; at
+speculation depth 0 the dispatcher breeds the identical trial sequence.
 
 Determinism contract:
 
-* Parameters are suggested in the parent, in trial order, from the
+* Parameters are planned in the parent, in trial order, from the
   study's declared search space — workers only ever see a plain params
   dict and return objective values.
 * The sampler is switched to deterministic per-trial RNG streams
@@ -18,38 +21,23 @@ Determinism contract:
   :func:`repro.rng.seed_for`), so the draw for trial *n* depends only on
   the sampler seed, the trial number, and the completed-trial history —
   not on wall-clock interleaving.
-* Batches default to the sampler's ``population_size``, which makes one
-  batch one NSGA-II generation: the sampler only consults *completed*
-  trials when breeding, so generation-batched evaluation is semantically
-  identical to the serial generational loop.
+* Each trial breeds from a *parent epoch* — a completed-history prefix
+  that is a pure function of its number — so the trial sequence never
+  depends on worker count or scheduling.  With speculation off the
+  epoch is the trial's generation boundary (the batch defaults to the
+  sampler's ``population_size``), exactly the history the generational
+  loop sees.
 
-The runner composes with storage (DESIGN.md §3, §7): give the study a
-:class:`~repro.blackbox.storage.StudyStorage` — or pass the runner a
-``storage`` spec string such as ``sqlite:///study.db`` — and every
-batch is recorded as it completes, making a killed parallel run
-resumable.  With ``shards=W`` the records fan out across W per-worker
-shard stores (``spec.shard0`` … ``spec.shardW-1``) instead of funneling
-through one fsynced file; ``repro study merge`` (or
-:func:`repro.blackbox.storage.merge_stores`) folds the shards back into
-one store with the identical final Pareto front.
+The dispatcher composes with storage (DESIGN.md §3, §7): give the study
+a :class:`~repro.blackbox.storage.StudyStorage` — or pass the
+dispatcher a ``storage`` spec string such as ``sqlite:///study.db`` —
+and every trial is recorded as it completes, making a killed parallel
+run resumable.
 
-The objective must be picklable (a module-level function, or an
-instance of a module-level class such as
+For a local process pool the objective must be picklable (a
+module-level function, or an instance of a module-level class such as
 :class:`repro.core.study_runner.CompositionObjective`) and maps a params
 dict to a float or a sequence of floats.
-
-Two drivers share that contract (DESIGN.md §4, §10):
-
-* :class:`ParallelStudyRunner` — the generation-batched path: one batch
-  is one NSGA-II generation, evaluated as a barrier (every worker waits
-  for the batch's slowest trial).
-* :class:`PipelinedDispatcher` — the ask/tell streaming path: a
-  coordinator keeps every worker slot full by dispatching candidates
-  individually as slots free, optionally *speculating* into the next
-  generation by breeding provisional candidates from the completed
-  prefix (each tagged with its parent epoch so resume and audit stay
-  deterministic).  With speculation off it is bit-identical to the
-  generation-batched runner.
 """
 
 from __future__ import annotations
@@ -78,38 +66,22 @@ from .trial import PARENT_EPOCH_ATTR, PIPELINE_ASK_ATTR, RACING_RUNG_ATTR, Trial
 ParamsObjective = Callable[[dict[str, Any]], "float | Sequence[float]"]
 
 
-def _evaluate_trial_chunk(
-    job: tuple[ParamsObjective, list[dict[str, Any]]]
-) -> list[tuple[str, Any]]:
-    """Worker-side shim: run one objective over a chunk of trials.
-
-    Jobs carry a *chunk* of params dicts rather than one, so the
-    objective — which may embed a full scenario — is pickled once per
-    worker chunk instead of once per trial.
-
-    Each outcome is returned as ``(tag, payload)`` data instead of
-    raising, which keeps one failed trial from tearing down the whole
-    pool; the parent re-raises uncaught exceptions after recording the
-    trial as FAILED.  An exception is shipped back as a live object only
-    if it survives a pickle round trip *here in the worker* — an
-    exception that pickles but fails to reconstruct (e.g. a multi-arg
-    ``__init__`` calling ``super().__init__`` with one argument) would
-    otherwise kill the pool's result-handler thread and hang the parent
-    forever.  Anything that doesn't round-trip degrades to an
-    :class:`OptimizationError` carrying the original type, message, and
-    traceback text.
-    """
-    objective, params_chunk = job
-    return [_guarded(objective, params) for params in params_chunk]
-
-
 def _guarded(fn: "Callable[..., Any]", *args: Any) -> tuple[str, Any, float]:
     """Run one objective call, returning a transport-safe outcome.
 
     ``(tag, payload, seconds)`` — the duration is measured worker-side,
-    so the parent can account busy time per trial (the worker-starvation
-    metrics both drivers surface) without trusting wall clocks across
-    processes.
+    so the parent can account busy time per trial
+    (:class:`PipelineStats`) without trusting wall clocks across
+    processes.  Returning outcomes as data keeps one failed trial from
+    tearing down the pool; the parent re-raises uncaught exceptions
+    after recording the trial as FAILED.  An exception ships back as a
+    live object only if it survives a pickle round trip *here in the
+    worker* — one that pickles but fails to reconstruct (e.g. a
+    multi-arg ``__init__`` calling ``super().__init__`` with one
+    argument) would otherwise kill the pool's result-handler thread and
+    hang the parent.  Anything that doesn't round-trip degrades to an
+    :class:`OptimizationError` carrying the original type, message, and
+    traceback text.
     """
     start = time.perf_counter()
     try:
@@ -153,409 +125,6 @@ def materialize_params(
             )
         frozen.params[name] = value
         frozen.distributions[name] = dist
-
-
-def _evaluate_members_chunk(
-    job: "tuple[Any, tuple[int, ...], list[dict[str, Any]]]"
-) -> list[tuple[str, Any]]:
-    """Worker-side rung evaluation: the objective's ``member_values``
-    hook over one member subset for a chunk of trials (racing rung
-    dispatch, DESIGN.md §8).  Per-member vectors — not pre-reduced
-    aggregates — ship back so the parent can fill each trial's member
-    matrix incrementally."""
-    objective, member_indices, params_chunk = job
-    return [
-        _guarded(objective.member_values, params, member_indices)
-        for params in params_chunk
-    ]
-
-
-class ParallelStudyRunner:
-    """Drives a study by evaluating batches of trials across processes.
-
-    Parameters
-    ----------
-    study:
-        The (possibly storage-backed) study to drive.
-    space:
-        Declared search space ``{name: Distribution}``.  Unlike the pure
-        define-by-run loop, parallel execution needs parameters
-        materialized *before* the objective runs, so the space is given
-        up front (exactly how ``ParameterSpace.suggest`` declares it).
-    launcher:
-        A :class:`~repro.confsys.launcher.SerialLauncher` or
-        :class:`~repro.confsys.launcher.MultiprocessingLauncher`;
-        defaults to serial (same code path, no processes).
-    batch_size:
-        Trials evaluated concurrently per round.  Defaults to the
-        sampler's ``population_size`` (one NSGA-II generation) or the
-        launcher's worker count.
-    storage:
-        Optional storage to attach to a not-yet-persistent study: a
-        :class:`~repro.blackbox.storage.StudyStorage` instance or a
-        spec string resolved through the URL registry (DESIGN.md §7).
-        The study is registered in the backend on attach; to *resume*
-        a persisted study, build it with
-        ``create_study(storage=..., load_if_exists=True)`` instead.
-    shards:
-        With ``shards=W > 1`` (and ``storage`` given as a spec string),
-        records fan out across W per-worker shard stores so concurrent
-        batches stop serializing on one file; fold them back with
-        ``repro study merge``.
-    """
-
-    def __init__(
-        self,
-        study: Study,
-        space: dict[str, Distribution],
-        launcher=None,
-        batch_size: int | None = None,
-        storage=None,
-        shards: int | None = None,
-    ) -> None:
-        if not space:
-            raise OptimizationError("parallel execution needs a declared search space")
-        if batch_size is not None and batch_size < 1:
-            raise OptimizationError("batch_size must be >= 1")
-        # Local import keeps repro.blackbox importable before repro.confsys
-        # finishes initializing (confsys.sweeper imports blackbox.study).
-        from ..confsys.launcher import SerialLauncher
-
-        self.study = study
-        self.space = dict(space)
-        self.launcher = launcher if launcher is not None else SerialLauncher()
-        self.batch_size = (
-            batch_size
-            or getattr(study.sampler, "population_size", None)
-            or getattr(self.launcher, "n_workers", 1)
-        )
-        if storage is not None:
-            self._attach_storage(storage, shards)
-
-    def _attach_storage(self, storage, shards: int | None) -> None:
-        """Resolve ``storage`` and register the (fresh) study in it."""
-        from .storage import resolve_storage
-
-        if self.study.storage is not None:
-            raise OptimizationError(
-                "study already has a storage backend; build it with "
-                "create_study(storage=..., load_if_exists=True) to resume"
-            )
-        backend = resolve_storage(storage, shards=shards)
-        if backend.load_study(self.study.study_name) is not None:
-            raise OptimizationError(
-                f"study '{self.study.study_name}' already exists in that "
-                "storage; resume it via create_study(load_if_exists=True)"
-            )
-        # Persist the generation boundary so a resume can detect a
-        # mismatched batch size instead of silently misaligning.
-        self.study.metadata.setdefault("batch", self.batch_size)
-        backend.create_study(
-            self.study.study_name,
-            [d.value for d in self.study.directions],
-            self.study.metadata,
-        )
-        self.study.storage = backend
-
-    def optimize(
-        self,
-        objective: ParamsObjective,
-        n_trials: int,
-        catch: tuple[type[Exception], ...] = (),
-        racing=None,
-        fidelity=None,
-    ) -> Study:
-        """Evaluate trials in launcher-sized batches up to ``n_trials`` total.
-
-        Mirrors ``Study.optimize`` semantics: ``TrialPruned`` marks the
-        trial PRUNED, exceptions in ``catch`` mark it FAILED, anything
-        else is recorded as FAILED and re-raised in the parent.
-
-        ``n_trials`` is the study's *total* trial target: on a study
-        reloaded via ``create_study(load_if_exists=True)`` only the
-        missing trials run.  As in ``run_blackbox``, a trailing partial
-        batch of loaded trials (a generation interrupted mid-journal) is
-        discarded and re-run under the same trial numbers, so a resumed
-        run sees exactly the batch-boundary history an uninterrupted run
-        sees (DESIGN.md §3).  Pruned trials count toward the target,
-        exactly like the serial drivers.
-
-        **Racing rung dispatch** (DESIGN.md §8): with ``racing`` set to
-        a :class:`~repro.core.racing.RungSchedule` (or spec string), the
-        objective must expose the multi-fidelity hooks ``n_members``,
-        ``aggregate``, and ``member_values(params, member_indices)`` (as
-        :class:`repro.core.study_runner.CompositionObjective` does; the
-        default ``order=hardest`` additionally needs
-        ``member_difficulty``).  Each batch then climbs the rung
-        ladder: every rung fans the members *new* to it across the
-        launcher's workers (subsets nest, so nothing is re-simulated),
-        the parent reduces each trial's accumulated member vectors with
-        the objective's aggregate, and candidates whose partial vector
-        falls off the batch's non-dominated front are told PRUNED
-        (partial values become intermediate reports).  Survivors'
-        final values reduce the full member matrix in canonical member
-        order — bit-identical to the full-fidelity objective.  Unlike
-        the serial racing driver this path carries no exactness proof
-        (no promote-back verification): it is Optuna-style pruning,
-        tuned for throughput.
-
-        ``fidelity`` (a :class:`~repro.core.fidelity.FidelityLadder` or
-        spec string) is persisted and checked as resume identity,
-        exactly like ``racing`` — the objective is expected to already
-        evaluate the ladder-top physics (as
-        :class:`~repro.core.study_runner.OptimizationRunner` arranges);
-        this driver never screens on cheap levels (DESIGN.md §11).
-        """
-        if n_trials <= 0:
-            raise OptimizationError(f"n_trials must be positive, got {n_trials}")
-        race_subsets = None
-        if racing is not None:
-            from ..core.racing import RungSchedule, resolve_rung_subsets
-
-            racing = RungSchedule.parse(racing)
-            # The member ranking is deterministic per ensemble — probe
-            # once per optimize() call, not per batch.
-            race_subsets = resolve_rung_subsets(objective, racing)
-        if fidelity is not None:
-            from ..core.fidelity import FidelityLadder
-
-            fidelity = FidelityLadder.parse(fidelity)
-        sampler = self.study.sampler
-        prior_seeding = sampler.per_trial_seeding
-        # Worker scheduling must never perturb sampling: pin every trial
-        # to its own deterministic RNG stream for the duration of the
-        # run (restored afterwards — the sampler is the caller's).
-        sampler.per_trial_seeding = True
-        try:
-            persisted_batch = self.study.metadata.get("batch")
-            requested_racing = (
-                racing.spec_string() if racing is not None else None
-            )
-            requested_fidelity = (
-                fidelity.spec_string() if fidelity is not None else None
-            )
-            persisted_racing = self.study.metadata.get("racing")
-            persisted_fidelity = self.study.metadata.get("fidelity")
-            if self.study.storage is not None and not self.study.trials:
-                # A fresh study built via create_study(storage=...) was
-                # registered before the runner knew its generation size,
-                # rung schedule, or fidelity ladder; persist them now so
-                # a mismatched resume is detectable.
-                dirty = False
-                if persisted_batch is None:
-                    self.study.metadata["batch"] = self.batch_size
-                    dirty = True
-                if persisted_racing is None and requested_racing is not None:
-                    self.study.metadata["racing"] = requested_racing
-                    persisted_racing = requested_racing
-                    dirty = True
-                if persisted_fidelity is None and requested_fidelity is not None:
-                    self.study.metadata["fidelity"] = requested_fidelity
-                    persisted_fidelity = requested_fidelity
-                    dirty = True
-                if dirty:
-                    self.study.storage.update_metadata(
-                        self.study.study_name, self.study.metadata
-                    )
-            # Identity checks route through the one shared validator
-            # (DESIGN.md §12) — the same rules (and error text) as the
-            # serial driver: the batch size fixes generation
-            # boundaries, the rung schedule decides which trials get
-            # pruned, the ladder which physics scored them.
-            from ..core.study_spec import check_resume_identity
-
-            if self.study.trials:
-                check_resume_identity(
-                    self.study.study_name,
-                    self.study.metadata,
-                    {"batch": self.batch_size},
-                )
-            if self.study.storage is not None:
-                check_resume_identity(
-                    self.study.study_name,
-                    self.study.metadata,
-                    {
-                        "racing": requested_racing,
-                        "fidelity": requested_fidelity,
-                    },
-                )
-            if len(self.study.trials) < n_trials:
-                self.study.drop_trailing_partial_batch(self.batch_size)
-            remaining = max(n_trials - len(self.study.trials), 0)
-            while remaining > 0:
-                k = min(self.batch_size, remaining)
-                trials = [self.study.ask() for _ in range(k)]
-                for trial in trials:
-                    # Ask/tell protocol (DESIGN.md §10): the sampler
-                    # plans each candidate jointly against the declared
-                    # space — same RNG draws as the define-by-run loop.
-                    params = sampler.ask(self.study, trial.number, self.space)
-                    materialize_params(trial, params, self.space)
-                batch_start = time.perf_counter()
-                if racing is None:
-                    outcomes = self._launch_batch(objective, trials)
-                    busy = sum(seconds for _, _, seconds in outcomes)
-                    slowest = max(
-                        (seconds for _, _, seconds in outcomes), default=0.0
-                    )
-                    self._record_batch_timing(
-                        time.perf_counter() - batch_start, slowest, busy
-                    )
-                    self._tell_outcomes(trials, outcomes, catch)
-                else:
-                    busy, slowest = self._race_batch(
-                        objective, trials, race_subsets, catch
-                    )
-                    self._record_batch_timing(
-                        time.perf_counter() - batch_start, slowest, busy
-                    )
-                remaining -= k
-        finally:
-            sampler.per_trial_seeding = prior_seeding
-        return self.study
-
-    def _record_batch_timing(self, wall: float, slowest: float, busy: float) -> None:
-        """Worker-starvation accounting: per-batch (dispatch, slowest, idle).
-
-        ``idle`` is the fraction of worker-seconds the barrier wasted —
-        ``1 - busy / (workers × dispatch wall)`` — the quantity the
-        pipelined dispatcher exists to reclaim.  Appended to the study
-        metadata (persisted when storage-backed) so ``repro study
-        status`` can show starvation on real studies, not just benches.
-        """
-        workers = getattr(self.launcher, "n_workers", 1)
-        idle = max(0.0, 1.0 - busy / (wall * workers)) if wall > 0 else 0.0
-        timings = self.study.metadata.setdefault("batch_timings", [])
-        timings.append(
-            {
-                "dispatch": round(wall, 6),
-                "slowest": round(slowest, 6),
-                "idle": round(idle, 4),
-            }
-        )
-        if self.study.storage is not None:
-            self.study.storage.update_metadata(
-                self.study.study_name, self.study.metadata
-            )
-
-    def _tell_outcomes(self, trials, outcomes, catch) -> None:
-        """Record one batch's transported outcomes against the study."""
-        for trial, (tag, payload, _seconds) in zip(trials, outcomes):
-            if tag == "ok":
-                self.study.tell(trial, payload)
-            elif tag == "pruned":
-                self.study.tell(trial, state=TrialState.PRUNED)
-            else:
-                self.study.tell(trial, state=TrialState.FAILED)
-                if not (catch and isinstance(payload, catch)):
-                    raise payload
-
-    def _launch_batch(self, objective: ParamsObjective, trials) -> list[tuple[str, Any]]:
-        """Fan one batch out in per-worker chunks (order-preserving)."""
-        from ..confsys.launcher import chunk_evenly
-
-        params = [dict(t.params) for t in trials]
-        chunks = chunk_evenly(params, getattr(self.launcher, "n_workers", 1))
-        outcomes = self.launcher.launch(
-            _evaluate_trial_chunk, [(objective, chunk) for chunk in chunks]
-        )
-        return [outcome for chunk in outcomes for outcome in chunk]
-
-    def _race_batch(self, objective, trials, subsets, catch) -> tuple[float, float]:
-        """Rung dispatch: climb the racing ladder for one trial batch.
-
-        Each rung fans only its *new* members (subsets nest) across
-        workers via the objective's ``member_values`` hook and
-        accumulates per-trial member matrices in the parent; partial and
-        final vectors reduce those matrices with the objective's
-        aggregate in canonical member order, so a survivor's told values
-        are bit-identical to the full-fidelity objective — and a
-        surviving trial pays exactly ``n_members`` member evaluations in
-        total, never a member twice.  Non-survivors of a rung's
-        non-dominated partial front are told PRUNED with their partial
-        values as intermediate reports.
-
-        Returns ``(busy, slowest)`` worker-seconds for the batch's
-        starvation accounting.
-        """
-        from ..confsys.launcher import chunk_evenly
-        from ..core.metrics import aggregate_values
-
-        n_members = int(objective.n_members)
-        aggregate = objective.aggregate
-        matrices: "dict[int, dict[int, tuple[float, ...]]]" = {
-            t.number: {} for t in trials
-        }
-        busy = 0.0
-        slowest = 0.0
-
-        def reduced(trial) -> tuple[float, ...]:
-            matrix = matrices[trial.number]
-            vectors = [matrix[m] for m in sorted(matrix)]
-            return tuple(
-                aggregate_values(column, aggregate) for column in zip(*vectors)
-            )
-
-        alive = list(trials)
-        seen: "tuple[int, ...]" = ()
-        for rung_index, subset in enumerate(subsets):
-            if not alive:
-                return busy, slowest
-            new_members = tuple(m for m in subset if m not in seen)
-            seen = subset
-            if new_members:
-                params = [dict(t.params) for t in alive]
-                chunks = chunk_evenly(params, getattr(self.launcher, "n_workers", 1))
-                outcomes = [
-                    outcome
-                    for chunk_result in self.launcher.launch(
-                        _evaluate_members_chunk,
-                        [(objective, new_members, chunk) for chunk in chunks],
-                    )
-                    for outcome in chunk_result
-                ]
-                busy += sum(seconds for _, _, seconds in outcomes)
-                slowest = max(
-                    slowest,
-                    max((seconds for _, _, seconds in outcomes), default=0.0),
-                )
-                survivors = []
-                for trial, (tag, payload, _seconds) in zip(alive, outcomes):
-                    if tag == "ok":
-                        for member, vector in zip(new_members, payload):
-                            matrices[trial.number][member] = (
-                                (vector,) if np.isscalar(vector) else tuple(vector)
-                            )
-                        survivors.append(trial)
-                    elif tag == "pruned":
-                        self.study.tell(trial, state=TrialState.PRUNED)
-                    else:
-                        self.study.tell(trial, state=TrialState.FAILED)
-                        if not (catch and isinstance(payload, catch)):
-                            raise payload
-                alive = survivors
-            if rung_index == len(subsets) - 1:
-                for trial in alive:
-                    trial.set_system_attr(RACING_RUNG_ATTR, n_members)
-                    self.study.tell(trial, reduced(trial))
-                return busy, slowest
-            size = len(subset)
-            vectors = [reduced(trial) for trial in alive]
-            for trial, vector in zip(alive, vectors):
-                trial.report(float(vector[0]), step=size)
-                trial.set_system_attr(RACING_RUNG_ATTR, size)
-            front = set(
-                int(i)
-                for i in pareto_front_indices(self.study.minimized_values(vectors))
-            ) if vectors else set()
-            next_alive = []
-            for i, trial in enumerate(alive):
-                if i in front:
-                    next_alive.append(trial)
-                else:
-                    self.study.tell(trial, state=TrialState.PRUNED)
-            alive = next_alive
-        return busy, slowest
 
 
 # -- pipelined dispatch (DESIGN.md §10) ---------------------------------------
@@ -704,9 +273,8 @@ class _Item:
 class PipelinedDispatcher:
     """Generation-free parallel search: stream candidates through ask/tell.
 
-    Where :class:`ParallelStudyRunner` evaluates whole generations behind
-    a barrier, this coordinator keeps every worker slot full
-    (DESIGN.md §10):
+    Rather than evaluating whole generations behind a barrier, this
+    coordinator keeps every worker slot full (DESIGN.md §10):
 
     * candidates are dispatched *individually* the moment a slot frees;
     * with ``speculate=D > 0``, the first ``D`` candidates of each
@@ -723,22 +291,29 @@ class PipelinedDispatcher:
     (``nsga2:parent_epoch``) and ask order (``pipeline:ask_number``) as
     system attrs; resume validates both against the recomputed schedule,
     exactly like the racing rung schedule, and re-runs anything that
-    fails the audit.  With ``speculate=0`` the dispatched params — and
-    hence the final front — are bit-identical to the generation-batched
-    runner.
+    fails the audit.  With ``speculate=0`` the dispatched params are
+    those of the generation-batched
+    :meth:`~repro.core.study_runner.OptimizationRunner.run_blackbox`.
 
     **Racing integration**: rung climbs become just more work items in
     the same queue.  Decisions stay at generation-cohort × rung
-    granularity (identical prune decisions to the batched runner's
-    Optuna-style path), but each (trial, rung-slice) evaluation is its
-    own queue item — so a rung-2 evaluation of one trial overlaps the
-    full-fidelity climb of another, and with speculation the next
-    generation's rung-0 items backfill slots during the climb.
+    granularity (Optuna-style: a candidate off the cohort's
+    non-dominated partial front is pruned), but each (trial,
+    rung-slice) evaluation is its own queue item — so a rung-2
+    evaluation of one trial overlaps the full-fidelity climb of
+    another, and with speculation the next generation's rung-0 items
+    backfill slots during the climb.
 
-    Parameters mirror :class:`ParallelStudyRunner` where shared;
-    ``workers``/``executor`` replace the launcher (``"thread"``,
-    ``"process"``, or ``"serial"``) since slot-level streaming needs
-    future-granular completion, not a map.
+    ``space`` is the declared ``{name: Distribution}`` search space
+    (parameters are planned before the objective runs).  ``executor`` is
+    ``"thread"``, ``"process"`` (spawn), ``"serial"`` (inline), or an
+    object exposing ``submit_trial``/``submit_rung``/``shutdown`` (the
+    remote seam, :class:`~repro.service.lease.LeasedWorkQueue`);
+    ``batch_size`` defaults to the sampler's ``population_size``.
+    ``storage`` (a backend or spec string, optionally fanned across
+    ``shards`` stores) attaches to a not-yet-persistent study; to
+    *resume*, build the study with ``create_study(storage=...,
+    load_if_exists=True)`` instead.
     """
 
     def __init__(
@@ -824,10 +399,10 @@ class PipelinedDispatcher:
         return generation * self.batch_size
 
     def _validate_metadata(self, racing, fidelity=None) -> None:
-        """Pipeline/batch/racing/fidelity identity checks, mirroring the
-        batched runner: each persisted spec decides which history a
-        resume may breed from (and which physics scored it), so a
-        mismatch is a hard error, never a silent divergence."""
+        """Pipeline/batch/racing/fidelity identity checks: each persisted
+        spec decides which history a resume may breed from (and which
+        physics scored it), so a mismatch is a hard error, never a
+        silent divergence."""
         md = self.study.metadata
         requested_pipeline = pipeline_spec_string(self.speculate)
         requested_racing = racing.spec_string() if racing is not None else None
@@ -906,14 +481,37 @@ class PipelinedDispatcher:
     ) -> Study:
         """Stream trials through worker slots up to ``n_trials`` total.
 
-        Same outcome semantics as :meth:`ParallelStudyRunner.optimize`
-        (``TrialPruned`` → PRUNED, caught exceptions → FAILED, anything
-        else FAILED + re-raised) and the same total-target resume
-        behaviour, but resume alignment is per-trial (epoch tags), not
-        per-generation — only trials whose persisted tags fail the
-        epoch audit are re-run.  ``fidelity`` persists/validates the
-        model-fidelity ladder as resume identity (the objective already
-        evaluates the ladder-top physics; DESIGN.md §11).
+        Mirrors ``Study.optimize`` semantics: ``TrialPruned`` marks the
+        trial PRUNED, exceptions in ``catch`` mark it FAILED, anything
+        else is recorded as FAILED and re-raised in the parent, after the
+        plain trials still in flight on a local pool are told too.
+
+        ``n_trials`` is the study's *total* trial target: on a study
+        reloaded via ``create_study(load_if_exists=True)`` only the
+        missing trials run, and pruned trials count toward the target.
+        Resume alignment is per-trial (epoch tags), not per-generation —
+        only trials whose persisted tags fail the epoch audit are re-run.
+
+        **Racing rung dispatch** (DESIGN.md §8): with ``racing`` set to
+        a :class:`~repro.core.racing.RungSchedule` (or spec string), the
+        objective must expose the multi-fidelity hooks ``n_members``,
+        ``aggregate``, and ``member_values(params, member_indices)`` (as
+        :class:`repro.core.study_runner.CompositionObjective` does; the
+        default ``order=hardest`` additionally needs
+        ``member_difficulty``).  Each rung evaluates only the members
+        *new* to it (subsets nest, so nothing is re-simulated), the
+        parent reduces each trial's accumulated member vectors with the
+        objective's aggregate in canonical member order — so survivors'
+        values are bit-identical to the full-fidelity objective — and
+        candidates off the cohort's non-dominated partial front are told
+        PRUNED with their partial values as intermediate reports.
+        Unlike ``run_blackbox``'s racer this carries no promote-back
+        exactness proof: it is Optuna-style pruning, tuned for
+        throughput.
+
+        ``fidelity`` persists/validates the model-fidelity ladder as
+        resume identity (the objective already evaluates the ladder-top
+        physics; DESIGN.md §11).
         """
         if n_trials <= 0:
             raise OptimizationError(f"n_trials must be positive, got {n_trials}")
@@ -1018,23 +616,44 @@ class PipelinedDispatcher:
                     f"{self._finished} < epoch {self._epoch(next_ask)})"
                 )
             done, _ = wait(list(pending), return_when=FIRST_COMPLETED)
-            for future in done:
-                item = pending.pop(future)
-                tag, payload, seconds = future.result()
-                stats.busy += seconds
-                if item.kind == "trial":
-                    self._tell_plain(item.trial, tag, payload, catch)
-                else:
-                    item.cohort.results[item.trial.number] = (tag, payload)
-                    if item.cohort.ready_to_decide():
-                        self._decide(
-                            item.cohort, pending, submit_rung, subsets, catch
-                        )
+            try:
+                for future in done:
+                    item = pending.pop(future)
+                    tag, payload, seconds = future.result()
+                    stats.busy += seconds
+                    if item.kind == "trial":
+                        self._tell_plain(item.trial, tag, payload, catch)
+                    else:
+                        item.cohort.results[item.trial.number] = (tag, payload)
+                        if item.cohort.ready_to_decide():
+                            self._decide(
+                                item.cohort, pending, submit_rung, subsets, catch
+                            )
+            except Exception:
+                if not remote:
+                    self._drain(pending)
+                raise
         stats.wall = time.perf_counter() - wall_start
         stats.n_trials = len(study.trials)
         if study.storage is not None:
             study.metadata["pipeline_stats"] = stats.as_metadata()
             study.storage.update_metadata(study.study_name, study.metadata)
+
+    def _drain(self, pending: "dict[Future, _Item]") -> None:
+        """Tell every plain trial still in flight when an uncaught error
+        aborts the run, so which trials end RUNNING does not depend on
+        which worker finished first.  The local pools' shutdown waits for
+        this work anyway; a remote queue cancels it instead, so it is not
+        drained."""
+        for future in wait(list(pending)).done:
+            item = pending.pop(future)
+            if item.kind != "trial":
+                continue
+            try:
+                tag, payload, _ = future.result()
+            except Exception as exc:  # noqa: BLE001 - recorded, not raised
+                tag, payload = "error", exc
+            self._tell_plain(item.trial, tag, payload, catch=(Exception,))
 
     def _ask_trial(self, number: int, stats: PipelineStats):
         epoch = self._epoch(number)
@@ -1101,10 +720,10 @@ class PipelinedDispatcher:
     def _decide(self, cohort, pending, submit_rung, subsets, catch) -> None:
         """Apply one rung's outcome to a fully-arrived cohort.
 
-        Bit-identical decision rule to the batched runner's
-        ``_race_batch`` — same member matrices, same partial reports,
-        same non-dominated-front promotion — just triggered by arrival
-        instead of a barrier.  Survivors' next-rung slices are submitted
+        Every survivor of the previous rung has landed, so the decision
+        sees the whole cohort's member matrices, exactly as a barrier
+        would — it is just triggered by arrival.  Survivors' next-rung
+        slices are submitted
         as fresh queue items; the study is told about prunes/failures
         immediately, which also advances the finished prefix that gates
         speculative asks.
@@ -1164,8 +783,7 @@ class PipelinedDispatcher:
         cohort.new_members = tuple(m for m in subset if m not in cohort.seen)
         cohort.seen = subset
         if not cohort.new_members:
-            # Nothing new to evaluate at this rung: decide immediately
-            # (the batched runner's `if new_members:` skip).
+            # Nothing new to evaluate at this rung: decide immediately.
             self._decide(cohort, pending, submit_rung, subsets, catch)
             return
         for trial in next_alive:

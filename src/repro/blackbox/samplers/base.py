@@ -42,7 +42,7 @@ class Sampler(ABC):
     exactly the values an uninterrupted run would have drawn, which is
     what makes storage-backed resume (DESIGN.md §3) and parallel
     execution (DESIGN.md §4) reproducible.  The storage-aware drivers
-    (``ParallelStudyRunner``, ``OptimizationRunner.run_blackbox`` with a
+    (``PipelinedDispatcher``, ``OptimizationRunner.run_blackbox`` with a
     storage) enable it automatically.
     """
 

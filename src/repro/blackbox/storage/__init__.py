@@ -21,7 +21,7 @@ interchangeable backends behind one contract plus a URL registry:
 * :mod:`.registry` — :func:`storage_from_url` / :func:`resolve_storage`
   turn a spec string into any of the above, which is what lets every
   storage-accepting API (``create_study``, ``run_blackbox``,
-  ``ParallelStudyRunner``, the CLI) take a plain string.
+  ``PipelinedDispatcher``, the CLI) take a plain string.
 
 Storage-aware entry points: ``create_study(..., storage=...,
 load_if_exists=True)``, ``Study.ask`` / ``Study.tell`` (which record

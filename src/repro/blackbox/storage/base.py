@@ -169,7 +169,7 @@ class StudyStorage(ABC):
         """Replace a study's metadata (last write wins on replay).
 
         Used by drivers that learn resume-critical configuration only
-        after the study was registered (e.g. ``ParallelStudyRunner``
+        after the study was registered (e.g. ``PipelinedDispatcher``
         persisting its generation size).
         """
 

@@ -1,7 +1,7 @@
 """URL-scheme registry: one string names any storage backend.
 
 Everywhere the API takes a storage — ``create_study``,
-``OptimizationRunner.run_blackbox``, ``ParallelStudyRunner``, the CLI's
+``OptimizationRunner.run_blackbox``, ``PipelinedDispatcher``, the CLI's
 ``--storage``/``--journal`` flags — a spec string is accepted and
 resolved here (DESIGN.md §7)::
 

@@ -482,9 +482,6 @@ def cmd_study_status(cfg: Config, args) -> int:
                     f"{stats.get('n_speculative', 0)} speculative trials"
                 )
             print(line)
-        timings = stored.metadata.get("batch_timings")
-        if timings:
-            print(f"  batches: {_starvation_stats(timings)}")
         doc = study_status_document(stored)
         service = doc.get("service")
         heartbeat = doc.get("heartbeat")
@@ -521,23 +518,6 @@ def cmd_study_status(cfg: Config, args) -> int:
                 )
             print(line)
     return 0
-
-
-def _starvation_stats(timings: "list[dict]") -> str:
-    """Worker-starvation summary of a study's per-batch timing records.
-
-    Each record carries ``(dispatch, slowest, idle)`` — the batch's wall
-    clock, its slowest trial, and the fraction of worker-seconds the
-    generation barrier wasted waiting on that straggler.
-    """
-    n = len(timings)
-    dispatch = sum(float(t.get("dispatch", 0.0)) for t in timings)
-    idles = [float(t.get("idle", 0.0)) for t in timings]
-    mean_idle = sum(idles) / n if n else 0.0
-    return (
-        f"{n} dispatched in {dispatch:.1f}s, "
-        f"mean idle {100 * mean_idle:.0f}%, worst {100 * max(idles, default=0.0):.0f}%"
-    )
 
 
 def _rung_stats(trials) -> str:

@@ -17,7 +17,7 @@ files and can parallelize the search across a cluster of compute nodes"
 from .config import Config, apply_overrides, compose, parse_override
 from .yaml_io import load_yaml, dump_yaml, load_config, save_config
 from .sweeper import BlackboxSweeper, GridSweeper, SweepJob
-from .launcher import MultiprocessingLauncher, SerialLauncher, ThreadLauncher
+from .launcher import MultiprocessingLauncher, SerialLauncher
 
 __all__ = [
     "Config",
@@ -33,5 +33,4 @@ __all__ = [
     "SweepJob",
     "SerialLauncher",
     "MultiprocessingLauncher",
-    "ThreadLauncher",
 ]

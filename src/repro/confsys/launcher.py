@@ -9,8 +9,6 @@ for CPU-bound NumPy workloads, since the battery loop holds the GIL).
 
 Launchers are payload-agnostic: a job is any picklable object (a
 :class:`~repro.confsys.sweeper.SweepJob` for config sweeps, a
-``(objective, params)`` pair for
-:class:`~repro.blackbox.parallel.ParallelStudyRunner` trial batches, a
 ``(scenario, compositions)`` chunk for the parallel batch evaluator).
 ``fn`` and jobs must both be picklable (module-level functions/classes)
 for the multiprocessing path, and results always come back in job order.
@@ -29,8 +27,8 @@ JobFn = Callable[[Any], Any]
 
 def chunk_evenly(items: Sequence[Any], n_chunks: int) -> list[list[Any]]:
     """Split ``items`` into ≤ ``n_chunks`` contiguous, order-preserving
-    chunks of near-equal size (the per-worker job shape both parallel
-    drivers fan out)."""
+    chunks of near-equal size (the per-worker job shape of the chunked
+    batch evaluator)."""
     if not items:
         return []
     size = -(-len(items) // max(n_chunks, 1))  # ceil division
@@ -69,28 +67,3 @@ class MultiprocessingLauncher:
         with ctx.Pool(processes=min(self.n_workers, len(jobs))) as pool:
             return pool.map(_invoke, [(fn, job) for job in jobs], chunksize=self.chunksize)
 
-
-class ThreadLauncher:
-    """Fans jobs out to a thread pool (order-preserving results).
-
-    For objectives that release the GIL — or deliberately GIL-free
-    workloads like the sleep-cost dispatch benches — threads give
-    process-pool concurrency without pickling or spawn cost.  Same
-    contract as the other launchers: results in job order, exceptions
-    propagate to the caller.
-    """
-
-    def __init__(self, n_workers: int | None = None) -> None:
-        if n_workers is not None and n_workers < 1:
-            raise ConfigurationError("n_workers must be >= 1")
-        self.n_workers = n_workers or max(os.cpu_count() or 1, 1)
-
-    def launch(self, fn: JobFn, jobs: Sequence[Any]) -> list[Any]:
-        if not jobs:
-            return []
-        if self.n_workers == 1 or len(jobs) == 1:
-            return SerialLauncher().launch(fn, jobs)
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=min(self.n_workers, len(jobs))) as pool:
-            return list(pool.map(fn, jobs))

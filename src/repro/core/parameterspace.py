@@ -96,7 +96,7 @@ class ParameterSpace:
         """Declared search space ``{name: Distribution}``.
 
         The up-front space :class:`~repro.blackbox.parallel.
-        ParallelStudyRunner` needs (parameters must exist before the
+        PipelinedDispatcher` needs (parameters must exist before the
         objective ships to a worker) — the same domains ``suggest``
         declares define-by-run.
         """

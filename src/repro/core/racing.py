@@ -46,7 +46,7 @@ Three properties make the race exact rather than merely heuristic:
 
 Study integration lives in :mod:`repro.core.study_runner`
 (``run_blackbox(racing=...)``) and :mod:`repro.blackbox.parallel`
-(rung dispatch across worker processes); the CLI flag is
+(rung dispatch across worker slots); the CLI flag is
 ``repro study run --racing rungs=2,8,full``.
 """
 
@@ -282,14 +282,14 @@ def difficulty_ranking(difficulty: Sequence[float]) -> list[int]:
 def resolve_rung_subsets(objective, schedule: "RungSchedule") -> list[tuple[int, ...]]:
     """Validate a multi-fidelity objective and resolve its rung subsets.
 
-    The driver-side half of Optuna-style rung dispatch (DESIGN.md §8),
-    shared by :class:`~repro.blackbox.parallel.ParallelStudyRunner` and
-    :class:`~repro.blackbox.parallel.PipelinedDispatcher` so both race
-    identical subsets for a given ensemble: checks the objective exposes
-    the ``n_members`` / ``aggregate`` / ``member_values`` hooks (plus
-    ``member_difficulty`` for the probe-ranked ``hardest`` order, which
-    is evaluated once per call — the ranking is deterministic per
-    ensemble) and returns the nested member subsets, one per rung.
+    The driver-side half of :class:`~repro.blackbox.parallel.
+    PipelinedDispatcher`'s Optuna-style rung dispatch (DESIGN.md §8),
+    racing the same subsets :class:`RacingEvaluator` races for a given
+    ensemble: checks the objective exposes the ``n_members`` /
+    ``aggregate`` / ``member_values`` hooks (plus ``member_difficulty``
+    for the probe-ranked ``hardest`` order, which is evaluated once per
+    call — the ranking is deterministic per ensemble) and returns the
+    nested member subsets, one per rung.
     """
     from ..exceptions import OptimizationError
 

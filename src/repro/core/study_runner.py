@@ -129,10 +129,9 @@ class CompositionObjective:
     The worker-process counterpart of ``ParameterSpace.suggest``: rebuild
     the composition from the suggested parameters, evaluate it, and
     return the requested objectives.  Instances ship cleanly through
-    :class:`~repro.confsys.launcher.MultiprocessingLauncher` (scenarios,
-    space, and dispatch policies are plain picklable dataclasses), so
-    this is the natural objective for
-    :class:`~repro.blackbox.parallel.ParallelStudyRunner`.
+    a process pool (scenarios, space, and dispatch policies are plain
+    picklable dataclasses), so this is the natural objective for
+    :class:`~repro.blackbox.parallel.PipelinedDispatcher`.
 
     ``scenario`` may be a single scenario or a sequence; with several,
     the trial is scored by the robust ``aggregate`` across all of them
@@ -195,7 +194,7 @@ class CompositionObjective:
 
         Ranks the ensemble for the ``hardest`` rung order when this
         objective drives :class:`~repro.blackbox.parallel.
-        ParallelStudyRunner` racing — the same probe
+        PipelinedDispatcher` racing — the same probe
         :class:`~repro.core.racing.RacingEvaluator` uses, so both
         drivers race identical subsets for a given ensemble.
         """
@@ -215,7 +214,7 @@ class CompositionObjective:
         """Per-member objective vectors on a member slice (fast path).
 
         The rung evaluation :class:`~repro.blackbox.parallel.
-        ParallelStudyRunner` fans across workers: one vector per named
+        PipelinedDispatcher` fans across workers: one vector per named
         member, in slice order.  Returning *per-member* values (rather
         than a pre-reduced aggregate) is what lets the parent fill each
         trial's member matrix incrementally — a rung only ever pays for

@@ -22,10 +22,10 @@ frozen dataclass:
   :meth:`StudySpec.execute` that builds the scenario list, runner, and
   sampler and dispatches to the batched or pipelined driver;
 * :func:`check_resume_identity` — THE resume validator.  Every driver
-  (``OptimizationRunner._run_blackbox_study``,
-  ``ParallelStudyRunner.optimize``, ``PipelinedDispatcher``) routes its
-  persisted-vs-requested comparison through this one function, so the
-  mismatch semantics (and error text) cannot drift between drivers.
+  (``OptimizationRunner._run_blackbox_study``, ``PipelinedDispatcher``)
+  routes its persisted-vs-requested comparison through this one
+  function, so the mismatch semantics (and error text) cannot drift
+  between drivers.
 
 The CLI's ``study run`` / ``study resume`` and the service layer
 (:mod:`repro.service`) are thin builders over this spec — the HTTP API
@@ -243,8 +243,8 @@ class StudySpec:
                 raise OptimizationError("remote_slots must be >= 1")
             if self.pipeline is None:
                 # Remote dispatch rides the pipelined driver (it needs
-                # slot-granular futures); speculate=0 keeps the front
-                # bit-identical to the batched runner.
+                # slot-granular futures); speculate=0 breeds the trial
+                # params run_blackbox breeds.
                 object.__setattr__(self, "pipeline", "speculate=0")
         if self.lease_ttl is not None:
             object.__setattr__(self, "lease_ttl", float(self.lease_ttl))

@@ -6,12 +6,14 @@ exist; this test pins the invariant the other way round: any mention of
 to the actual document (and section), every relative markdown link
 inside the documents must point at a real file, every ``repro ...``
 command shown in a fenced example must parse against the real argparse
-tree, and the README's HTTP API table must list exactly the routes the
-service registers.
+tree, every fully qualified Sphinx cross-reference must name an
+importable object, and the README's HTTP API table must list exactly
+the routes the service registers.
 """
 
 from __future__ import annotations
 
+import importlib
 import re
 import shlex
 from pathlib import Path
@@ -31,6 +33,8 @@ MD_LINK = re.compile(r"\[[^\]]*\]\(([^)#]+)(?:#[^)]*)?\)")
 # desynchronize the pairing: an unmatched opener makes closing fences
 # look like openers and prose like code.
 FENCED = re.compile(r"^```[^\n]*\n(.*?)^```", re.MULTILINE | re.DOTALL)
+# A role target may wrap across docstring lines; whitespace is dropped.
+SPHINX_ROLE = re.compile(r":(?:class|func|meth|mod|data|attr):`~?(repro\.[^`]+)`")
 
 
 def _python_sources() -> list[Path]:
@@ -72,6 +76,35 @@ def test_every_design_section_reference_resolves():
             if section not in headings:
                 dangling.append(f"{path.relative_to(REPO)} → DESIGN.md §{section}")
     assert not dangling, f"dangling DESIGN.md section references: {dangling}"
+
+
+def _import_target(target: str) -> None:
+    """Import the longest module prefix of ``target``, then walk the rest
+    as attributes (AttributeError when the object does not exist)."""
+    parts = target.split(".")
+    for split in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:split]))
+        except ImportError:
+            continue
+        for attr in parts[split:]:
+            obj = getattr(obj, attr)
+        return
+
+
+def test_every_sphinx_role_target_resolves():
+    """``:class:`~repro.x.Y``` and friends in src/, README.md and
+    DESIGN.md name objects that exist — deleting a class must take its
+    cross-references with it."""
+    dangling = []
+    for path in _python_sources() + [REPO / "README.md", REPO / "DESIGN.md"]:
+        for raw in SPHINX_ROLE.findall(path.read_text(encoding="utf-8")):
+            target = re.sub(r"\s+", "", raw)
+            try:
+                _import_target(target)
+            except AttributeError:
+                dangling.append(f"{path.relative_to(REPO)} → {target}")
+    assert not dangling, f"dangling Sphinx cross-references: {dangling}"
 
 
 def test_every_document_mention_resolves():

@@ -5,18 +5,20 @@ exercises the real pool path (pickling, ordering), and the determinism
 assertions must hold regardless of core count.
 """
 
+import threading
+
 import pytest
 
 from repro.blackbox import (
     JournalStorage,
     NSGA2Sampler,
-    ParallelStudyRunner,
+    PipelinedDispatcher,
     RandomSampler,
     TrialState,
     create_study,
 )
 from repro.blackbox.distributions import FloatDistribution, IntDistribution
-from repro.confsys import MultiprocessingLauncher, SerialLauncher
+from repro.confsys import MultiprocessingLauncher
 from repro.core.parameterspace import ParameterSpace
 from repro.core.study_runner import CompositionObjective, OptimizationRunner
 from repro.exceptions import OptimizationError
@@ -48,112 +50,116 @@ def boom_unpicklable(params):  # module-level: picklable for spawn workers
     raise UnreconstructableError(42, "cannot round-trip")
 
 
-def _run_parallel(launcher, sampler, n_trials=12, batch_size=4):
-    study = create_study(direction="minimize", sampler=sampler, study_name="p")
-    ParallelStudyRunner(study, SPHERE_SPACE, launcher=launcher, batch_size=batch_size).optimize(
+def _study(seed, name="p", storage=None, load=False, sampler=None):
+    return create_study(
+        direction="minimize", sampler=sampler or RandomSampler(seed=seed),
+        study_name=name, storage=storage, load_if_exists=load,
+    )
+
+
+def _dispatch(study, n_trials, batch_size=4, **pool):
+    PipelinedDispatcher(study, SPHERE_SPACE, batch_size=batch_size, **pool).optimize(
         sphere, n_trials=n_trials
     )
     return study
 
 
-class TestParallelStudyRunner:
-    def test_serial_launcher_runs(self):
-        study = _run_parallel(SerialLauncher(), RandomSampler(seed=1))
+class TestParallelDispatch:
+    def test_serial_executor_runs(self):
+        study = _dispatch(_study(1), 12, executor="serial")
         assert len(study.trials) == 12
         assert all(t.state == TrialState.COMPLETE for t in study.trials)
         assert all(t.values[0] == sphere(t.params) for t in study.trials)
 
     def test_multiprocessing_matches_serial(self):
-        serial = _run_parallel(SerialLauncher(), NSGA2Sampler(population_size=4, seed=2))
-        parallel = _run_parallel(
-            MultiprocessingLauncher(n_workers=2), NSGA2Sampler(population_size=4, seed=2)
-        )
-        assert [t.params for t in serial.trials] == [t.params for t in parallel.trials]
-        assert [t.values for t in serial.trials] == [t.values for t in parallel.trials]
+        def run(**pool):
+            sampler = NSGA2Sampler(population_size=4, seed=2)
+            return _dispatch(_study(2, sampler=sampler), 12, **pool).trials
+
+        serial, parallel = run(executor="serial"), run(executor="process", workers=2)
+        assert [t.params for t in serial] == [t.params for t in parallel]
+        assert [t.values for t in serial] == [t.values for t in parallel]
 
     def test_rerun_is_reproducible(self):
-        a = _run_parallel(SerialLauncher(), RandomSampler(seed=3))
-        b = _run_parallel(SerialLauncher(), RandomSampler(seed=3))
+        a, b = _dispatch(_study(3), 12), _dispatch(_study(3), 12)
         assert [t.params for t in a.trials] == [t.params for t in b.trials]
 
     def test_caught_errors_mark_failed(self):
-        study = create_study(direction="minimize", sampler=RandomSampler(seed=4), study_name="f")
-        runner = ParallelStudyRunner(study, SPHERE_SPACE, batch_size=3)
-        runner.optimize(boom, n_trials=3, catch=(ValueError,))
+        study = _study(4, "f")
+        PipelinedDispatcher(study, SPHERE_SPACE, batch_size=3).optimize(
+            boom, n_trials=3, catch=(ValueError,)
+        )
         assert [t.state for t in study.trials] == [TrialState.FAILED] * 3
 
     def test_uncaught_errors_propagate(self):
-        study = create_study(direction="minimize", sampler=RandomSampler(seed=5), study_name="f")
-        runner = ParallelStudyRunner(study, SPHERE_SPACE, batch_size=2)
+        study = _study(5, "f")
         with pytest.raises(ValueError, match="boom"):
-            runner.optimize(boom, n_trials=2)
+            PipelinedDispatcher(study, SPHERE_SPACE, batch_size=2).optimize(boom, n_trials=2)
         assert study.trials[0].state == TrialState.FAILED
+
+    def test_uncaught_error_tells_every_in_flight_trial(self):
+        # Trial 1 fails while trial 0 is still running: the abort must
+        # still record trial 0, not leave it RUNNING.
+        started, release = threading.Event(), threading.Event()
+
+        def slow_then_fast(params):
+            if not started.is_set():
+                started.set()
+                release.wait(5.0)
+                return sphere(params)
+            release.set()
+            raise ValueError("fast")
+
+        study = _study(15, "d")
+        dispatcher = PipelinedDispatcher(
+            study, SPHERE_SPACE, workers=2, executor="thread", batch_size=2
+        )
+        with pytest.raises(ValueError, match="fast"):
+            dispatcher.optimize(slow_then_fast, n_trials=2)
+        assert [t.state for t in study.trials] == [
+            TrialState.COMPLETE,
+            TrialState.FAILED,
+        ]
 
     def test_validation(self):
         study = create_study(direction="minimize", study_name="v")
         with pytest.raises(OptimizationError):
-            ParallelStudyRunner(study, {})
+            PipelinedDispatcher(study, {})
         with pytest.raises(OptimizationError):
-            ParallelStudyRunner(study, SPHERE_SPACE, batch_size=0)
+            PipelinedDispatcher(study, SPHERE_SPACE, batch_size=0)
         with pytest.raises(OptimizationError):
-            ParallelStudyRunner(study, SPHERE_SPACE).optimize(sphere, n_trials=0)
+            PipelinedDispatcher(study, SPHERE_SPACE).optimize(sphere, n_trials=0)
 
     def test_unpicklable_exception_does_not_hang_the_pool(self):
-        # An exception that cannot be reconstructed parent-side used to
+        # An exception that cannot be reconstructed parent-side would
         # kill the pool's result-handler thread and block forever; it
-        # must now surface as an OptimizationError naming the original.
-        study = create_study(direction="minimize", sampler=RandomSampler(seed=13), study_name="u")
-        runner = ParallelStudyRunner(
-            study, SPHERE_SPACE, launcher=MultiprocessingLauncher(n_workers=2), batch_size=2
+        # must surface as an OptimizationError naming the original.
+        study = _study(13, "u")
+        dispatcher = PipelinedDispatcher(
+            study, SPHERE_SPACE, workers=2, executor="process", batch_size=2
         )
         with pytest.raises(OptimizationError, match="UnreconstructableError"):
-            runner.optimize(boom_unpicklable, n_trials=2)
+            dispatcher.optimize(boom_unpicklable, n_trials=2)
         assert study.trials[0].state == TrialState.FAILED
 
     def test_n_trials_is_a_total_target_on_resume(self, tmp_path):
         path = tmp_path / "journal.jsonl"
-        study = create_study(
-            direction="minimize", sampler=RandomSampler(seed=14), study_name="t",
-            storage=JournalStorage(path),
-        )
-        ParallelStudyRunner(study, SPHERE_SPACE, batch_size=4).optimize(sphere, n_trials=10)
-
-        resumed = create_study(
-            direction="minimize", sampler=RandomSampler(seed=14), study_name="t",
-            storage=JournalStorage(path), load_if_exists=True,
-        )
-        ParallelStudyRunner(resumed, SPHERE_SPACE, batch_size=4).optimize(sphere, n_trials=12)
-        # 12 total — not 10 loaded + 12 more; the trailing partial batch
-        # (trials 8–9) was re-run under the same numbers.
+        _dispatch(_study(14, "t", JournalStorage(path)), 10)
+        # 12 total — not 10 loaded + 12 more.
+        resumed = _dispatch(_study(14, "t", JournalStorage(path), load=True), 12)
         assert len(resumed.trials) == 12
-
-        reference = create_study(direction="minimize", sampler=RandomSampler(seed=14), study_name="t")
-        ParallelStudyRunner(reference, SPHERE_SPACE, batch_size=4).optimize(sphere, n_trials=12)
+        reference = _dispatch(_study(14, "t"), 12)
         assert [t.params for t in resumed.trials] == [t.params for t in reference.trials]
         assert [t.values for t in resumed.trials] == [t.values for t in reference.trials]
 
     def test_batch_defaults_to_population(self):
         study = create_study(sampler=NSGA2Sampler(population_size=6, seed=6), study_name="b")
-        runner = ParallelStudyRunner(study, SPHERE_SPACE)
-        assert runner.batch_size == 6
+        assert PipelinedDispatcher(study, SPHERE_SPACE).batch_size == 6
 
     def test_journaled_parallel_run_is_resumable(self, tmp_path):
         path = tmp_path / "journal.jsonl"
-        study = create_study(
-            direction="minimize",
-            sampler=RandomSampler(seed=7),
-            study_name="p",
-            storage=JournalStorage(path),
-        )
-        ParallelStudyRunner(study, SPHERE_SPACE, batch_size=4).optimize(sphere, n_trials=8)
-
-        resumed = create_study(
-            direction="minimize",
-            sampler=RandomSampler(seed=7),
-            study_name="p",
-            storage=JournalStorage(path),
-            load_if_exists=True,
-        )
+        study = _dispatch(_study(7, storage=JournalStorage(path)), 8)
+        resumed = _study(7, storage=JournalStorage(path), load=True)
         assert [t.params for t in resumed.trials] == [t.params for t in study.trials]
 
 
@@ -259,28 +265,17 @@ class TestResumableBlackboxSearch:
 
 
 class TestShardedParallelRunner:
-    """ParallelStudyRunner fanning records across per-worker shard stores
+    """PipelinedDispatcher fanning records across per-worker shard stores
     (DESIGN.md §7): same trials as single-store, resumable, mergeable."""
 
     def test_storage_spec_attach_and_shard_fanout(self, tmp_path):
         spec = str(tmp_path / "p.jsonl")
-        study = create_study(
-            direction="minimize", sampler=RandomSampler(seed=21), study_name="sh"
-        )
-        ParallelStudyRunner(
-            study, SPHERE_SPACE, batch_size=4, storage=spec, shards=2
-        ).optimize(sphere, n_trials=8)
+        study = _dispatch(_study(21, "sh"), 8, storage=spec, shards=2)
         assert (tmp_path / "p.jsonl.shard0").exists()
         assert (tmp_path / "p.jsonl.shard1").exists()
         assert not (tmp_path / "p.jsonl").exists()
 
-        single = create_study(
-            direction="minimize", sampler=RandomSampler(seed=21), study_name="sh",
-            storage=JournalStorage(tmp_path / "single.jsonl"),
-        )
-        ParallelStudyRunner(single, SPHERE_SPACE, batch_size=4).optimize(
-            sphere, n_trials=8
-        )
+        single = _dispatch(_study(21, "sh", JournalStorage(tmp_path / "single.jsonl")), 8)
         assert [t.params for t in study.trials] == [t.params for t in single.trials]
         assert [t.values for t in study.trials] == [t.values for t in single.trials]
 
@@ -288,82 +283,40 @@ class TestShardedParallelRunner:
         from repro.blackbox.storage import resolve_storage
 
         spec = str(tmp_path / "p.jsonl")
-        study = create_study(
-            direction="minimize", sampler=RandomSampler(seed=22), study_name="sh"
-        )
-        ParallelStudyRunner(
-            study, SPHERE_SPACE, batch_size=4, storage=spec, shards=2
-        ).optimize(sphere, n_trials=8)
-
-        resumed = create_study(
-            direction="minimize", sampler=RandomSampler(seed=22), study_name="sh",
-            storage=resolve_storage(spec, shards=2), load_if_exists=True,
-        )
-        ParallelStudyRunner(resumed, SPHERE_SPACE, batch_size=4).optimize(
-            sphere, n_trials=12
+        _dispatch(_study(22, "sh"), 8, storage=spec, shards=2)
+        resumed = _dispatch(
+            _study(22, "sh", resolve_storage(spec, shards=2), load=True), 12
         )
         assert len(resumed.trials) == 12
-
-        reference = create_study(
-            direction="minimize", sampler=RandomSampler(seed=22), study_name="sh"
-        )
-        ParallelStudyRunner(reference, SPHERE_SPACE, batch_size=4).optimize(
-            sphere, n_trials=12
-        )
-        assert [t.params for t in resumed.trials] == [
-            t.params for t in reference.trials
-        ]
+        reference = _dispatch(_study(22, "sh"), 12)
+        assert [t.params for t in resumed.trials] == [t.params for t in reference.trials]
 
     def test_mismatched_batch_on_resume_raises(self, tmp_path):
         from repro.blackbox.storage import resolve_storage
 
         spec = str(tmp_path / "p.jsonl")
-        study = create_study(
-            direction="minimize", sampler=RandomSampler(seed=23), study_name="sh"
-        )
-        ParallelStudyRunner(
-            study, SPHERE_SPACE, batch_size=4, storage=spec
-        ).optimize(sphere, n_trials=8)
-        resumed = create_study(
-            direction="minimize", sampler=RandomSampler(seed=23), study_name="sh",
-            storage=resolve_storage(spec), load_if_exists=True,
-        )
+        _dispatch(_study(23, "sh"), 8, storage=spec)
+        resumed = _study(23, "sh", resolve_storage(spec), load=True)
         with pytest.raises(OptimizationError, match="batch"):
-            ParallelStudyRunner(resumed, SPHERE_SPACE, batch_size=3).optimize(
-                sphere, n_trials=12
-            )
+            _dispatch(resumed, 12, batch_size=3)
 
     def test_attach_refuses_already_persistent_study(self, tmp_path):
-        study = create_study(
-            direction="minimize", study_name="sh",
-            storage=JournalStorage(tmp_path / "a.jsonl"),
-        )
+        study = _study(24, "sh", JournalStorage(tmp_path / "a.jsonl"))
         with pytest.raises(OptimizationError, match="already has a storage"):
-            ParallelStudyRunner(
+            PipelinedDispatcher(
                 study, SPHERE_SPACE, storage=str(tmp_path / "b.jsonl")
             )
 
 
 class TestBatchMetadataOnCreatePath:
     def test_create_study_path_persists_batch_and_arms_the_guard(self, tmp_path):
-        # The documented flow — create_study(storage=...) first, runner
+        # The documented flow — create_study(storage=...) first, dispatcher
         # second — must persist the generation size too, so a resume
         # with a different batch is caught, not silently misaligned.
         path = tmp_path / "p.jsonl"
-        study = create_study(
-            direction="minimize", sampler=RandomSampler(seed=31), study_name="b",
-            storage=JournalStorage(path),
-        )
-        ParallelStudyRunner(study, SPHERE_SPACE, batch_size=4).optimize(
-            sphere, n_trials=8
-        )
+        _dispatch(_study(31, "b", JournalStorage(path)), 8)
         assert JournalStorage(path).load_study("b").metadata["batch"] == 4
 
-        resumed = create_study(
-            direction="minimize", sampler=RandomSampler(seed=31), study_name="b",
-            storage=JournalStorage(path), load_if_exists=True,
-        )
+        resumed = _study(31, "b", JournalStorage(path), load=True)
         with pytest.raises(OptimizationError, match="batch"):
-            ParallelStudyRunner(resumed, SPHERE_SPACE, batch_size=3).optimize(
-                sphere, n_trials=12
-            )
+            _dispatch(resumed, 12, batch_size=3)

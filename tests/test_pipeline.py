@@ -3,17 +3,17 @@
 The contract :class:`PipelinedDispatcher` must keep:
 
 * with speculation off, the streamed run is **bit-identical** to
-  :class:`ParallelStudyRunner`'s generation-batched run — params,
-  values, states, intermediate reports, and rung attrs, racing
-  included;
+  ``run_blackbox``'s generation-batched run on the real objective (the
+  reference ``tests/test_driver_contract.py`` pins), a raced run makes
+  ``run_blackbox``'s prune decisions on a real ensemble, and a raced run
+  is identical — intermediate reports and rung attrs included — whichever
+  executor carries it;
 * with speculation on, the trial sequence is a pure function of
   ``(seed, speculation depth)`` — never of worker count or scheduling;
 * every trial persists its ask order and parent epoch as system attrs,
   a genuine ``kill -9`` mid-pipeline resumes to the identical front on
   journal *and* SQLite backends, and resuming with a different
-  speculation depth / batch size is a hard error;
-* the batched runner's per-batch starvation accounting lands in study
-  metadata for ``repro study status``.
+  speculation depth / batch size is a hard error.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ import pytest
 from repro.blackbox import NSGA2Sampler, create_study
 from repro.blackbox.distributions import FloatDistribution, IntDistribution
 from repro.blackbox.parallel import (
-    ParallelStudyRunner,
     PipelinedDispatcher,
     parse_pipeline_spec,
     pipeline_spec_string,
@@ -42,14 +41,25 @@ from repro.blackbox.trial import (
     RACING_RUNG_ATTR,
     TrialState,
 )
-from repro.confsys.launcher import ThreadLauncher
+from repro.core.ensemble import EnsembleSpec, build_ensemble
 from repro.core.metrics import aggregate_values
+from repro.core.parameterspace import ParameterSpace
+from repro.core.study_runner import OptimizationRunner
 from repro.exceptions import OptimizationError
+from test_driver_contract import run_driver, trial_rows
 
 SPACE = {"x": FloatDistribution(-2.0, 2.0), "k": IntDistribution(0, 5)}
 
 BATCH = 8
 N_TRIALS = 24
+RACE_SPACE = ParameterSpace(max_turbines=4, max_solar_increments=4, max_battery_units=2)
+
+
+@pytest.fixture(scope="module")
+def houston_ensemble():
+    """Five-member weather-year ensemble, two weeks each (fast)."""
+    spec = EnsembleSpec.parse("years=2020-2024", sites=("houston",), n_hours=24 * 14)
+    return build_ensemble(spec)
 
 
 def sphere(params: dict) -> tuple[float, float]:
@@ -103,24 +113,15 @@ def _snapshot(study: Study) -> list:
     ]
 
 
-def _run_generational(objective, racing=None) -> Study:
-    study = _study()
-    runner = ParallelStudyRunner(
-        study, SPACE, launcher=ThreadLauncher(4), batch_size=BATCH
-    )
-    runner.optimize(objective, n_trials=N_TRIALS, racing=racing)
-    return study
-
-
 def _run_pipelined(
-    objective, speculate: int = 0, workers: int = 4, racing=None
+    objective, speculate: int = 0, workers: int = 4, racing=None, executor="thread"
 ) -> "tuple[Study, PipelinedDispatcher]":
     study = _study()
     dispatcher = PipelinedDispatcher(
         study,
         SPACE,
         workers=workers,
-        executor="thread",
+        executor=executor,
         speculate=speculate,
         batch_size=BATCH,
     )
@@ -132,19 +133,54 @@ class TestSpecZeroBitIdentity:
     """speculate=0 → the exact generation-batched run, worker-count free."""
 
     @pytest.mark.parametrize("workers", [1, 4])
-    def test_plain_matches_batched_runner(self, workers):
-        reference = _snapshot(_run_generational(sphere))
-        piped, _ = _run_pipelined(sphere, speculate=0, workers=workers)
-        assert _snapshot(piped) == reference
+    def test_plain_matches_batched_runner(self, houston_month, workers):
+        reference = trial_rows(run_driver(houston_month, "blackbox", "loop"))
+        piped = run_driver(houston_month, "pipelined", "loop", workers=workers)
+        assert trial_rows(piped) == reference
 
     @pytest.mark.parametrize("workers", [1, 4])
-    def test_racing_matches_batched_runner(self, workers):
-        """Rung climbs as queue items: same prune decisions, same partial
-        reports, same rung attrs, same surviving values."""
-        reference = _run_generational(RacedSphere(), racing="rungs=2,full")
-        piped, _ = _run_pipelined(
-            RacedSphere(), speculate=0, workers=workers, racing="rungs=2,full"
+    def test_racing_matches_batched_runner(self, houston_ensemble, workers):
+        """Same prune decisions, rung attrs, surviving values and pruned
+        trials' partial reports as ``run_blackbox``'s generation-batched
+        racer on a real five-member ensemble."""
+        def rows(result):
+            return [
+                (
+                    t.number,
+                    dict(t.params),
+                    t.values,
+                    t.state,
+                    t.system_attrs.get(RACING_RUNG_ATTR),
+                    dict(t.intermediate) if t.state == TrialState.PRUNED else None,
+                )
+                for t in result.study.trials
+            ]
+
+        def run(driver, **extra):
+            runner = OptimizationRunner(houston_ensemble, space=RACE_SPACE)
+            return getattr(runner, driver)(
+                n_trials=30,
+                sampler=NSGA2Sampler(population_size=10, seed=42),
+                storage="memory://",
+                study_name="raced",
+                racing="rungs=2,full",
+                **extra,
+            )
+
+        reference = rows(run("run_blackbox"))
+        assert any(row[3] == TrialState.PRUNED for row in reference), (
+            "racing never pruned — vacuous equivalence"
         )
+        assert rows(run("run_pipelined", workers=workers)) == reference
+
+    def test_racing_matches_serial_executor(self):
+        """Rung climbs as queue items: same prune decisions, same partial
+        reports, same rung attrs, same surviving values on 4 threads as
+        on the inline executor."""
+        reference, _ = _run_pipelined(
+            RacedSphere(), workers=1, executor="serial", racing="rungs=2,full"
+        )
+        piped, _ = _run_pipelined(RacedSphere(), workers=4, racing="rungs=2,full")
         assert _snapshot(piped) == _snapshot(reference)
         pruned = [t for t in piped.trials if t.state == TrialState.PRUNED]
         assert pruned, "racing never pruned — vacuous equivalence"
@@ -198,14 +234,18 @@ def _storage_url(kind: str, tmp_path: Path) -> str:
     return f"sqlite:///{tmp_path / 'pipe.db'}"
 
 
-def _pipelined_on_storage(url: str, n_trials: int, load: bool = False) -> Study:
-    study = create_study(
+def _stored_study(url: str, load: bool = False) -> Study:
+    return create_study(
         directions=["minimize", "minimize"],
         sampler=NSGA2Sampler(population_size=BATCH, seed=7),
         storage=url,
         study_name="pipe",
         load_if_exists=load,
     )
+
+
+def _pipelined_on_storage(url: str, n_trials: int, load: bool = False) -> Study:
+    study = _stored_study(url, load)
     PipelinedDispatcher(
         study, SPACE, workers=2, executor="thread", speculate=4, batch_size=BATCH
     ).optimize(sphere, n_trials=n_trials)
@@ -217,13 +257,7 @@ class TestTagPersistence:
     def test_epoch_tags_survive_reload(self, kind, tmp_path):
         url = _storage_url(kind, tmp_path)
         _pipelined_on_storage(url, N_TRIALS)
-        reloaded = create_study(
-            directions=["minimize", "minimize"],
-            sampler=NSGA2Sampler(population_size=BATCH, seed=7),
-            storage=url,
-            study_name="pipe",
-            load_if_exists=True,
-        )
+        reloaded = _stored_study(url, load=True)
         assert len(reloaded.trials) == N_TRIALS
         assert reloaded.metadata["pipeline"] == "speculate=4"
         assert reloaded.metadata["batch"] == BATCH
@@ -249,13 +283,7 @@ class TestResumeValidation:
     def test_different_speculation_depth_is_a_hard_error(self, tmp_path):
         url = _storage_url("journal", tmp_path)
         _pipelined_on_storage(url, N_TRIALS)
-        study = create_study(
-            directions=["minimize", "minimize"],
-            sampler=NSGA2Sampler(population_size=BATCH, seed=7),
-            storage=url,
-            study_name="pipe",
-            load_if_exists=True,
-        )
+        study = _stored_study(url, load=True)
         dispatcher = PipelinedDispatcher(
             study, SPACE, workers=2, executor="thread", speculate=2, batch_size=BATCH
         )
@@ -265,13 +293,7 @@ class TestResumeValidation:
     def test_different_batch_size_is_a_hard_error(self, tmp_path):
         url = _storage_url("journal", tmp_path)
         _pipelined_on_storage(url, N_TRIALS)
-        study = create_study(
-            directions=["minimize", "minimize"],
-            sampler=NSGA2Sampler(population_size=BATCH, seed=7),
-            storage=url,
-            study_name="pipe",
-            load_if_exists=True,
-        )
+        study = _stored_study(url, load=True)
         dispatcher = PipelinedDispatcher(
             study, SPACE, workers=2, executor="thread", speculate=4, batch_size=4
         )
@@ -347,29 +369,3 @@ class TestKillDashNineMidPipeline:
             _storage_url(kind, tmp_path / "ref"), N_TRIALS
         )
         assert _snapshot(resumed) == _snapshot(reference)
-
-
-class TestStarvationAccounting:
-    def test_batched_runner_records_per_batch_timings(self):
-        study = _run_generational(sphere)
-        timings = study.metadata["batch_timings"]
-        assert len(timings) == N_TRIALS // BATCH
-        for entry in timings:
-            assert set(entry) == {"dispatch", "slowest", "idle"}
-            assert entry["dispatch"] >= 0.0
-            assert entry["slowest"] <= entry["dispatch"] + 1e-9
-            assert 0.0 <= entry["idle"] <= 1.0
-
-    def test_status_helper_summarizes_starvation(self):
-        from repro.cli import _starvation_stats
-
-        line = _starvation_stats(
-            [
-                {"dispatch": 2.0, "slowest": 1.9, "idle": 0.25},
-                {"dispatch": 1.0, "slowest": 0.8, "idle": 0.75},
-            ]
-        )
-        assert "2 dispatched" in line
-        assert "3.0" in line  # total dispatch seconds
-        assert "50" in line  # mean idle %
-        assert "75" in line  # worst idle %

@@ -27,7 +27,7 @@ import numpy as np
 import pytest
 
 from repro.blackbox import NSGA2Sampler, create_study
-from repro.blackbox.parallel import ParallelStudyRunner
+from repro.blackbox.parallel import PipelinedDispatcher
 from repro.blackbox.trial import TrialState
 from repro.core.kernel import HAS_NUMBA
 from repro.core.ensemble import (
@@ -471,8 +471,8 @@ class TestParallelRungDispatch:
             directions=["minimize", "minimize"],
             sampler=NSGA2Sampler(population_size=8, seed=5),
         )
-        runner = ParallelStudyRunner(study, SMALL_SPACE.distributions(), batch_size=8)
-        runner.optimize(objective, n_trials=24, racing="rungs=2,full")
+        dispatcher = PipelinedDispatcher(study, SMALL_SPACE.distributions(), batch_size=8)
+        dispatcher.optimize(objective, n_trials=24, racing="rungs=2,full")
         return study, objective
 
     def test_deterministic_and_bit_identical_survivors(self, houston_ensemble):
@@ -493,9 +493,9 @@ class TestParallelRungDispatch:
         from repro.exceptions import OptimizationError
 
         study = create_study(sampler=NSGA2Sampler(population_size=4, seed=1))
-        runner = ParallelStudyRunner(study, SMALL_SPACE.distributions(), batch_size=4)
+        dispatcher = PipelinedDispatcher(study, SMALL_SPACE.distributions(), batch_size=4)
         with pytest.raises(OptimizationError):
-            runner.optimize(lambda params: 0.0, n_trials=4, racing="rungs=2,full")
+            dispatcher.optimize(lambda params: 0.0, n_trials=4, racing="rungs=2,full")
 
     def test_parallel_resume_enforces_the_persisted_schedule(
         self, houston_ensemble, tmp_path
@@ -513,7 +513,7 @@ class TestParallelRungDispatch:
             directions=["minimize", "minimize"],
             sampler=NSGA2Sampler(population_size=8, seed=5),
         )
-        ParallelStudyRunner(
+        PipelinedDispatcher(
             study, SMALL_SPACE.distributions(), batch_size=8, storage=path
         ).optimize(objective, n_trials=8, racing="rungs=2,full")
         assert study.metadata["racing"] == "rungs=2,full"
@@ -524,13 +524,13 @@ class TestParallelRungDispatch:
             storage=path,
             load_if_exists=True,
         )
-        runner = ParallelStudyRunner(
+        dispatcher = PipelinedDispatcher(
             resumed, SMALL_SPACE.distributions(), batch_size=8
         )
         for wrong in (None, "rungs=3,full"):
             with pytest.raises(OptimizationError, match="racing"):
-                runner.optimize(objective, n_trials=16, racing=wrong)
-        runner.optimize(objective, n_trials=16, racing="rungs=2,full")
+                dispatcher.optimize(objective, n_trials=16, racing=wrong)
+        dispatcher.optimize(objective, n_trials=16, racing="rungs=2,full")
         assert len(resumed.trials) == 16
 
     def test_rungs_never_resimulate_a_member(self, houston_ensemble):
@@ -551,8 +551,8 @@ class TestParallelRungDispatch:
             directions=["minimize", "minimize"],
             sampler=NSGA2Sampler(population_size=8, seed=5),
         )
-        runner = ParallelStudyRunner(study, SMALL_SPACE.distributions(), batch_size=8)
-        runner.optimize(objective, n_trials=16, racing="rungs=2,full")
+        dispatcher = PipelinedDispatcher(study, SMALL_SPACE.distributions(), batch_size=8)
+        dispatcher.optimize(objective, n_trials=16, racing="rungs=2,full")
 
         n_members = len(houston_ensemble)
         trial_count: "dict[tuple, int]" = {}

@@ -255,9 +255,8 @@ class TestKillARemoteWorker:
             )
             coordinator.start()
             env = {**os.environ, "PYTHONPATH": SRC}
-            # doomed acks 3 results then SIGKILLs itself mid-batch;
-            # the survivor carries the study home alone.
-            for worker_id, kill_after in (("doomed", 3), ("survivor", 0)):
+
+            def spawn(worker_id, kill_after):
                 procs.append(
                     subprocess.Popen(
                         [sys.executable, "-c", KILL_REMOTE_WORKER,
@@ -265,8 +264,13 @@ class TestKillARemoteWorker:
                         env=env,
                     )
                 )
-            doomed, survivor = procs
-            assert doomed.wait(timeout=240) == -signal.SIGKILL
+                return procs[-1]
+
+            # doomed is the only worker until it dies, so it must ack 3
+            # results and SIGKILL itself holding a leased, unacked item;
+            # only then does the survivor carry the study home alone.
+            assert spawn("doomed", 3).wait(timeout=240) == -signal.SIGKILL
+            spawn("survivor", 0)
             coordinator.join(timeout=240)
             assert not coordinator.is_alive(), "coordinator did not finish"
 
