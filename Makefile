@@ -1,7 +1,7 @@
 # Convenience targets — every command also works standalone with
 # PYTHONPATH=src (no install needed; see README.md "Install").
 
-.PHONY: test tier2 bench ci regression
+.PHONY: test tier2 bench ci regression perfbench
 
 # Tier-1 gate: what CI runs (pytest.ini deselects tier2/bench markers).
 test:
@@ -32,3 +32,13 @@ ci:
 # numbers (run `make bench` first) vs the committed baselines.
 regression:
 	PYTHONPATH=src python benchmarks/check_regression.py --baseline-ref HEAD
+
+# Study benchmark (perfbench/README.md) as a front-parity gate: the
+# paper's Houston study at seed 42.  run.py exits 0 even when a Pareto
+# front differs from perfbench/references.json, so its last output line
+# (JSON) is checked for "correct": true here.
+PERFBENCH_SECONDS ?= 25
+perfbench:
+	python3 perfbench/run.py --workload paper_houston --seed 42 --seconds $(PERFBENCH_SECONDS) --trace 0 \
+	| tail -n 1 | python3 -c 'import json, sys; line = sys.stdin.read(); print(line, end=""); \
+	sys.exit(0 if json.loads(line).get("correct") is True else "perfbench: a Pareto front differs from perfbench/references.json")'

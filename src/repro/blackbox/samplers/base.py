@@ -17,6 +17,7 @@ Samplers speak two protocols over the same drawing logic:
 
 from __future__ import annotations
 
+import operator
 import warnings
 from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, Any
@@ -53,6 +54,8 @@ class Sampler(ABC):
         self.rng = np.random.default_rng(seed)
         #: when True, ``begin_trial`` rebinds ``self.rng`` per trial
         self.per_trial_seeding = False
+        #: ``(COMPLETE trials, history)`` of the last ``completed_history`` call
+        self._history_memo: "tuple[list[FrozenTrial], Any] | None" = None
 
     def begin_trial(self, trial_number: int) -> None:
         """Hook invoked when a trial's first parameter is suggested.
@@ -127,21 +130,39 @@ class Sampler(ABC):
     def on_trial_complete(self, study: "Study", trial: "FrozenTrial") -> None:
         """Hook invoked after a trial reaches a terminal state."""
 
+    def completed_history(
+        self, study: "Study"
+    ) -> "tuple[list[FrozenTrial], dict[str, Distribution]]":
+        """Completed trials (with values) and the observed search space.
 
-def observed_search_space(study: "Study") -> dict[str, Distribution]:
-    """Search space inferred from completed trials (Optuna-style).
+        The observed space holds the parameters present in *all*
+        COMPLETE trials with identical domains (Optuna-style) — the
+        joint space the genetic samplers evolve over.
 
-    Returns parameters present in *all* completed trials with identical
-    domains — the joint space genetic samplers evolve over.
-    """
-    from ..trial import TrialState
+        Both are computed once per completed prefix (DESIGN.md §10):
+        the result is memoized on the identity of the COMPLETE trial
+        objects, so every ask that breeds from the same prefix — a whole
+        generation of the batched driver, or the pipelined driver's
+        fresh history views of it — gets the same tuple back.  A told
+        trial never changes in place (``Study.tell`` refuses a finished
+        trial), so a hit is always exact; a later completion, a dropped
+        batch, a reloaded study or another study misses.
+        """
+        from ..trial import TrialState
 
-    completed = [t for t in study.trials if t.state == TrialState.COMPLETE]
-    if not completed:
-        return {}
-    space: dict[str, Distribution] = dict(completed[0].distributions)
-    for t in completed[1:]:
-        for name in list(space):
-            if t.distributions.get(name) != space[name]:
-                del space[name]
-    return space
+        complete = [t for t in study.trials if t.state == TrialState.COMPLETE]
+        memo = self._history_memo
+        if (
+            memo is not None
+            and len(memo[0]) == len(complete)
+            and all(map(operator.is_, memo[0], complete))
+        ):
+            return memo[1]
+        space: dict[str, Distribution] = dict(complete[0].distributions) if complete else {}
+        for t in complete[1:]:
+            for name in list(space):
+                if t.distributions.get(name) != space[name]:
+                    del space[name]
+        history = ([t for t in complete if t.values is not None], space)
+        self._history_memo = (complete, history)
+        return history

@@ -13,6 +13,13 @@ as Optuna's ``NSGAIISampler``:
   stashed in the trial's system attrs; parameters outside the observed
   space fall back to random sampling.
 
+Selection draws no randomness and depends only on the completed history
+a trial breeds from (its parent epoch, DESIGN.md §10), so the observed
+space and the ranked parent population are computed once per completed
+prefix and memoized on the identity of its trials; each ask then only
+runs the two tournaments, crossover and mutation, whose RNG draws are
+those of an unmemoized sampler.
+
 The paper runs 350 trials with population 50 and recovers ≈80 % of the
 exhaustive Pareto front — the configuration
 ``NSGA2Sampler(population_size=50)`` with ``n_trials=350`` reproduced by
@@ -28,7 +35,7 @@ import numpy as np
 from ...exceptions import OptimizationError
 from ..distributions import Distribution
 from ..multiobjective import crowding_distance, non_dominated_sort
-from .base import Sampler, observed_search_space
+from .base import Sampler
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..study import Study
@@ -57,21 +64,15 @@ class NSGA2Sampler(Sampler):
         self.mutation_prob = mutation_prob  # default 1/len(space), set lazily
         self.crossover_prob = crossover_prob
         self.swap_prob = swap_prob
+        #: ``(history, (space, ranked))`` of the last :meth:`_parent_population`
+        self._ranked_memo: "tuple[Any, Any] | None" = None
 
     # -- population machinery -------------------------------------------------
 
-    def _completed(self, study: "Study") -> list["FrozenTrial"]:
-        from ..trial import TrialState
-
-        return [
-            t
-            for t in study.trials
-            if t.state == TrialState.COMPLETE and t.values is not None
-        ]
-
-    def _select_parents(self, study: "Study") -> list["FrozenTrial"]:
+    def _select_parents(
+        self, study: "Study", completed: list["FrozenTrial"]
+    ) -> list["FrozenTrial"]:
         """Environmental selection: rank + crowding over all completed."""
-        completed = self._completed(study)
         values = study.minimized_values([t.values for t in completed])
         fronts = non_dominated_sort(values)
         parents: list[FrozenTrial] = []
@@ -86,6 +87,36 @@ class NSGA2Sampler(Sampler):
                 break
         return parents
 
+    def _parent_population(
+        self, study: "Study"
+    ) -> "tuple[dict[str, Distribution], list[tuple[FrozenTrial, int, float]] | None]":
+        """``(space, ranked)``: the observed space and the parents as
+        ``(trial, rank, crowding)`` tuples, ``ranked`` being ``None`` in
+        generation 0.  Draws no randomness, so it is memoized beside
+        :meth:`~repro.blackbox.samplers.base.Sampler.completed_history`:
+        one selection per completed prefix (DESIGN.md §10)."""
+        history = self.completed_history(study)
+        memo = self._ranked_memo
+        if memo is not None and memo[0] is history:
+            return memo[1]
+        completed, space = history
+        ranked = None
+        if space and len(completed) >= self.population_size:
+            parents = self._select_parents(study, completed)
+            values = study.minimized_values([t.values for t in parents])
+            fronts = non_dominated_sort(values)
+            rank_of = np.empty(len(parents), dtype=np.int64)
+            crowd_of = np.empty(len(parents))
+            for rank, front in enumerate(fronts):
+                rank_of[front] = rank
+                crowd_of[front] = crowding_distance(values[front])
+            ranked = [
+                (parents[i], int(rank_of[i]), float(crowd_of[i]))
+                for i in range(len(parents))
+            ]
+        self._ranked_memo = (history, (space, ranked))
+        return self._ranked_memo[1]
+
     def _tournament(self, ranked: list[tuple["FrozenTrial", int, float]]) -> "FrozenTrial":
         """Binary tournament on (rank, -crowding)."""
         i, j = self.rng.integers(0, len(ranked), size=2)
@@ -95,20 +126,9 @@ class NSGA2Sampler(Sampler):
         return b[0]
 
     def _make_genome(self, study: "Study") -> dict[str, Any]:
-        space = observed_search_space(study)
-        completed = self._completed(study)
-        if not space or len(completed) < self.population_size:
+        space, ranked = self._parent_population(study)
+        if ranked is None:
             return {}  # generation 0: every parameter random
-
-        parents = self._select_parents(study)
-        values = study.minimized_values([t.values for t in parents])
-        fronts = non_dominated_sort(values)
-        rank_of = np.empty(len(parents), dtype=np.int64)
-        crowd_of = np.empty(len(parents))
-        for rank, front in enumerate(fronts):
-            rank_of[front] = rank
-            crowd_of[front] = crowding_distance(values[front])
-        ranked = [(parents[i], int(rank_of[i]), float(crowd_of[i])) for i in range(len(parents))]
 
         p1 = self._tournament(ranked)
         p2 = self._tournament(ranked)

@@ -19,7 +19,7 @@ import numpy as np
 
 from ...exceptions import OptimizationError
 from ..distributions import Distribution
-from .base import Sampler, observed_search_space
+from .base import Sampler
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..study import Study
@@ -48,12 +48,7 @@ class ScalarizationSampler(Sampler):
         self.rho = rho
 
     def _make_genome(self, study: "Study") -> dict[str, Any]:
-        from ..trial import TrialState
-
-        completed = [
-            t for t in study.trials if t.state == TrialState.COMPLETE and t.values is not None
-        ]
-        space = observed_search_space(study)
+        completed, space = self.completed_history(study)
         if len(completed) < self.n_startup_trials or not space:
             return {}
 

@@ -28,6 +28,7 @@ from .lease import DEFAULT_LEASE_TTL_S, Lease, LeaseTable, LeasedWorkQueue
 from .remote_worker import RemoteWorkerClient, run_remote_worker
 from .service import (
     HEARTBEAT_EVERY_S,
+    MAX_TRIALS,
     SERVICE_KEY,
     STALE_AFTER_S,
     HeartbeatStorage,
@@ -46,6 +47,7 @@ from .service import (
 __all__ = [
     "DEFAULT_LEASE_TTL_S",
     "HEARTBEAT_EVERY_S",
+    "MAX_TRIALS",
     "SERVICE_KEY",
     "STALE_AFTER_S",
     "HeartbeatStorage",

@@ -41,7 +41,7 @@ from ..blackbox.storage import StudyStorage, open_study_storage
 from ..blackbox.storage.base import StoredStudy
 from ..blackbox.trial import TrialState
 from ..core.study_spec import StudySpec
-from ..exceptions import OptimizationError
+from ..exceptions import ConfigurationError, OptimizationError
 
 #: a running study whose last heartbeat is older than this is flagged
 #: stale — its worker is presumed dead and the study safe to re-queue
@@ -54,6 +54,9 @@ HEARTBEAT_EVERY_S = 5.0
 
 #: metadata key holding the service envelope (queue state + timestamps)
 SERVICE_KEY = "service"
+
+#: largest ``n_trials`` a submission may ask for (the paper's study is 350)
+MAX_TRIALS = 1_000_000
 
 _QUEUEABLE_STATES = ("queued", "running", "done", "failed", "cancelled")
 
@@ -195,17 +198,14 @@ def spec_from_document(document: Mapping[str, Any]) -> "tuple[StudySpec, str | N
     expands to the canonical ``pipeline`` spec string).  Unknown keys
     are a hard error — a typoed identity key silently falling back to
     its default is exactly the failure mode the spec exists to prevent.
+    Every invalid value raises :class:`ServiceError` (HTTP 400), as does
+    an ``n_trials`` above :data:`MAX_TRIALS`.
     """
     doc = dict(document)
     name = doc.pop("name", None)
     if "trials" in doc:
         doc.setdefault("n_trials", doc.pop("trials"))
-    if doc.get("speculate") is not None and doc.get("pipeline") is None:
-        from ..blackbox.parallel import pipeline_spec_string
-
-        doc["pipeline"] = pipeline_spec_string(int(doc.pop("speculate")))
-    else:
-        doc.pop("speculate", None)
+    speculate = doc.pop("speculate", None)
     allowed = {f.name for f in dataclasses.fields(StudySpec)}
     unknown = sorted(set(doc) - allowed)
     if unknown:
@@ -213,7 +213,17 @@ def spec_from_document(document: Mapping[str, Any]) -> "tuple[StudySpec, str | N
             f"unknown StudySpec fields: {', '.join(unknown)} "
             f"(expected a subset of {sorted(allowed | {'name', 'trials', 'speculate'})})"
         )
-    return StudySpec(**doc), (str(name) if name is not None else None)
+    try:
+        if speculate is not None and doc.get("pipeline") is None:
+            from ..blackbox.parallel import pipeline_spec_string
+
+            doc["pipeline"] = pipeline_spec_string(int(speculate))
+        spec = StudySpec(**doc)
+    except (ConfigurationError, OptimizationError, TypeError, ValueError) as exc:
+        raise ServiceError(str(exc)) from None
+    if spec.n_trials > MAX_TRIALS:
+        raise ServiceError(f"n_trials must be at most {MAX_TRIALS}, got {spec.n_trials}")
+    return spec, (str(name) if name is not None else None)
 
 
 # -- heartbeat persistence ------------------------------------------------------

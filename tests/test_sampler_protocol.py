@@ -27,7 +27,7 @@ from repro.blackbox.distributions import (
     FloatDistribution,
     IntDistribution,
 )
-from repro.blackbox.parallel import materialize_params
+from repro.blackbox.parallel import _HistoryPrefix, materialize_params
 from repro.blackbox.samplers.base import Sampler
 from repro.exceptions import OptimizationError
 
@@ -204,3 +204,156 @@ class TestMaterializeValidation:
         bad = {"x": 99.0, "k": 2, "mode": "a"}
         with pytest.raises(OptimizationError, match="out-of-domain"):
             materialize_params(trial, bad, SPACE)
+
+
+# -- the per-epoch memo (DESIGN.md §10) -----------------------------------------
+
+GENETIC = {
+    "nsga2": (lambda: NSGA2Sampler(population_size=50, seed=11), 50),
+    "scalarization": (lambda: ScalarizationSampler(n_startup_trials=20, seed=11), 25),
+}
+
+
+def _clear_memo(sampler) -> None:
+    """Forget every per-prefix memo, so the next ask recomputes cold."""
+    sampler._history_memo = None
+    if isinstance(sampler, NSGA2Sampler):
+        sampler._ranked_memo = None
+
+
+def _run_generations(kind: str, protocol: str, cold: bool, n_trials: int = 350) -> list:
+    """Generation-batched study (the batched driver's shape): ask a whole
+    batch against one completed prefix, then tell it."""
+    make, batch = GENETIC[kind]
+    study = Study(directions=["minimize", "minimize"], sampler=make())
+    define_by_run = _define_by_run_for(2)
+    asked = []
+    for start in range(0, n_trials, batch):
+        trials = [study.ask() for _ in range(min(batch, n_trials - start))]
+        outcomes = []
+        for trial in trials:
+            if cold:
+                _clear_memo(study.sampler)
+            if protocol == "ask":
+                params = study.sampler.ask(study, trial.number, SPACE)
+                materialize_params(trial, params, SPACE)
+                outcomes.append(_values(params))
+            else:
+                outcomes.append(define_by_run(trial))
+            asked.append(dict(trial.params))
+        for trial, vals in zip(trials, outcomes):
+            study.tell(trial, vals)
+    return asked
+
+
+def _tell_new(study, params, vals):
+    trial = study.ask()
+    materialize_params(trial, params, SPACE)
+    study.tell(trial, vals)
+    return trial
+
+
+def _per_trial_sampler(kind: str):
+    sampler = {
+        "nsga2": lambda: NSGA2Sampler(population_size=6, seed=3),
+        "scalarization": lambda: ScalarizationSampler(n_startup_trials=6, seed=3),
+    }[kind]()
+    sampler.per_trial_seeding = True
+    return sampler
+
+
+def _seeded_study(kind: str, n_complete: int) -> Study:
+    """``n_complete`` told trials bred by a per-trial-seeded sampler."""
+    study = Study(directions=["minimize", "minimize"], sampler=_per_trial_sampler(kind))
+    for _ in range(0, n_complete, 6):
+        trials = [study.ask() for _ in range(6)]
+        for trial in trials:
+            materialize_params(trial, study.sampler.ask(study, trial.number, SPACE), SPACE)
+        for trial in trials:
+            study.tell(trial, _values(trial.params))
+    return study
+
+
+def _cold_ask(kind: str, study, number: int) -> dict:
+    """What a fresh sampler (same seed, empty memo) plans for ``number``."""
+    return _per_trial_sampler(kind).ask(study, number, SPACE)
+
+
+#: dominates every history point, so telling it changes the parent set
+DOMINANT = (-100.0, -100.0)
+
+
+class TestEpochMemo:
+    @pytest.mark.parametrize("protocol", ["ask", "define_by_run"])
+    @pytest.mark.parametrize("kind", sorted(GENETIC))
+    def test_memo_is_bit_identical_to_a_cold_cache(self, kind, protocol):
+        assert _run_generations(kind, protocol, cold=False) == _run_generations(
+            kind, protocol, cold=True
+        )
+
+    def test_one_selection_per_completed_prefix(self):
+        sampler = NSGA2Sampler(population_size=4, seed=1)
+        study = Study(directions=["minimize", "minimize"], sampler=sampler)
+        for _ in range(2):
+            trials = [study.ask() for _ in range(4)]
+            for trial in trials:
+                materialize_params(trial, sampler.ask(study, trial.number, SPACE), SPACE)
+            histories = {id(sampler.completed_history(study)) for _ in trials}
+            assert len(histories) == 1
+            for trial in trials:
+                study.tell(trial, _values(trial.params))
+        first = sampler._parent_population(study)
+        assert sampler._parent_population(_HistoryPrefix(study, 8)) is first
+
+    @pytest.mark.parametrize("kind", sorted(GENETIC))
+    def test_tell_mid_generation_invalidates(self, kind):
+        study = _seeded_study(kind, 12)
+        pending = [study.ask() for _ in range(3)]
+        before = study.sampler.ask(study, 15, SPACE)
+        materialize_params(pending[0], {"x": 0.5, "k": 0, "mode": "c"}, SPACE)
+        study.tell(pending[0], DOMINANT)
+        after = study.sampler.ask(study, 15, SPACE)
+        assert after == _cold_ask(kind, study, 15)
+        assert after != before
+
+    @pytest.mark.parametrize("kind", sorted(GENETIC))
+    def test_dropped_batch_reasked_with_same_numbers_invalidates(self, kind):
+        study = _seeded_study(kind, 12)
+        partial = ({"x": 1.0, "k": 1, "mode": "a"}, {"x": -1.0, "k": 2, "mode": "b"})
+        for params in partial:
+            _tell_new(study, params, _values(params))
+        before = study.sampler.ask(study, 14, SPACE)
+        assert study.drop_trailing_partial_batch(6) == 12
+        # Same trial numbers and COMPLETE count, new objects, one new value.
+        _tell_new(study, partial[0], DOMINANT)
+        _tell_new(study, partial[1], _values(partial[1]))
+        after = study.sampler.ask(study, 14, SPACE)
+        assert after == _cold_ask(kind, study, 14)
+        assert after != before
+
+    @pytest.mark.parametrize("kind", sorted(GENETIC))
+    def test_history_prefix_views_key_on_their_own_prefix(self, kind):
+        study = _seeded_study(kind, 12)
+        sampler = study.sampler
+        early = sampler.ask(_HistoryPrefix(study, 6), 12, SPACE)
+        _tell_new(study, {"x": 0.5, "k": 0, "mode": "c"}, DOMINANT)
+        late = sampler.ask(_HistoryPrefix(study, 13), 13, SPACE)
+        assert late == _cold_ask(kind, _HistoryPrefix(study, 13), 13)
+        # Back to the early epoch after later trials completed.
+        again = sampler.ask(_HistoryPrefix(study, 6), 12, SPACE)
+        assert again == early == _cold_ask(kind, _HistoryPrefix(study, 6), 12)
+        assert sampler.ask(_HistoryPrefix(study, 13), 12, SPACE) != early
+
+    @pytest.mark.parametrize("kind", sorted(GENETIC))
+    def test_sampler_reused_across_studies_invalidates(self, kind):
+        first = _seeded_study(kind, 12)
+        sampler = first.sampler
+        before = sampler.ask(first, 12, SPACE)
+        second = Study(directions=["minimize", "minimize"], sampler=sampler)
+        for trial in first.trials:
+            # Same params, same count: only the trial objects and the
+            # values differ (negated, so the old worst become parents).
+            _tell_new(second, trial.params, tuple(-v for v in trial.values))
+        after = sampler.ask(second, 12, SPACE)
+        assert after == _cold_ask(kind, second, 12)
+        assert after != before

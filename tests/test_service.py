@@ -8,8 +8,10 @@ and the finished front is bit-identical to an uninterrupted run's, on
 both the journal and sqlite backends.
 """
 
+import dataclasses
 import json
 import os
+import random
 import signal
 import subprocess
 import sys
@@ -25,7 +27,9 @@ from repro.cli import main
 from repro.core.study_spec import StudySpec
 from repro.exceptions import OptimizationError
 from repro.service import (
+    MAX_TRIALS,
     HeartbeatStorage,
+    ServiceError,
     StudyConflictError,
     StudyService,
     UnknownStudyError,
@@ -114,6 +118,20 @@ class TestServiceVerbs:
         with pytest.raises(OptimizationError, match="trails"):
             spec_from_document({"trails": 30})
 
+    @pytest.mark.parametrize(
+        "document",
+        [
+            {"n_trials": -5},
+            {"population": 0},
+            {"sites": 123},
+            {"n_trials": MAX_TRIALS + 1},
+            {"speculate": {}},
+        ],
+    )
+    def test_spec_from_document_rejects_bad_values_as_service_errors(self, document):
+        with pytest.raises(ServiceError):
+            spec_from_document(document)
+
 
 class TestHeartbeat:
     def test_worker_persists_heartbeat_and_progress(self):
@@ -178,6 +196,14 @@ def _http(url, method="GET", payload=None):
         return response.status, (json.loads(body) if "json" in kind else body.decode())
 
 
+def _post_status(url, payload) -> int:
+    """HTTP status of a JSON POST, error statuses included."""
+    try:
+        return _http(url, method="POST", payload=payload)[0]
+    except urllib.error.HTTPError as err:
+        return err.code
+
+
 @pytest.fixture()
 def http_service(tmp_path):
     """A bound HTTP server over a journal store, no worker threads."""
@@ -225,6 +251,37 @@ class TestHttpApi:
         with pytest.raises(urllib.error.HTTPError) as err:
             _http(f"{base}/studies", method="POST", payload={**SMALL, "sites": "houston", "name": "dup"})
         assert err.value.code == 409
+
+    @pytest.mark.parametrize(
+        "document",
+        [{"n_trials": -5}, {"population": 0}, {"sites": 123}, {"n_trials": 10**12}],
+    )
+    def test_bad_spec_values_are_400(self, http_service, document):
+        _, base = http_service
+        assert _post_status(f"{base}/studies", {**SMALL, "sites": "houston", **document}) == 400
+
+    def test_fuzzed_submissions_never_500(self, http_service):
+        """Seeded body fuzz: every malformed submission is a client error."""
+        _, base = http_service
+        rng = random.Random(20261017)
+        keys = sorted({f.name for f in dataclasses.fields(StudySpec)}) + [
+            "name", "trials", "speculate", "bogus",
+        ]
+        junk = [
+            -5, 0, 1, 2.5, 10**12, -1e300, True, None, "", "x", "houston,phoenix",
+            "speculate=-1", "lo,mid,full", [], [1, "a"], {}, {"a": 1}, 123,
+        ]
+        statuses = set()
+        for i in range(120):
+            document = {**SMALL, "sites": "houston", "name": f"fuzz{i % 40}"}
+            for key in rng.sample(keys, rng.randint(1, 3)):
+                document[key] = rng.choice(junk)
+            status = _post_status(f"{base}/studies", document)
+            assert status in (201, 400, 409), (status, document)
+            statuses.add(status)
+        for body in ([1, 2], "houston", 7):
+            assert _post_status(f"{base}/studies", body) == 400
+        assert {201, 400} <= statuses  # the fuzz reaches both outcomes
 
     @pytest.mark.parametrize("scheme", ["journal", "sqlite"])
     def test_http_submission_matches_cli_front_bit_for_bit(self, tmp_path, scheme):
