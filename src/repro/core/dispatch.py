@@ -412,13 +412,14 @@ def run_dispatch(
     per-step reference ``"loop"`` below, the always-available
     ``"segments"`` engine, the compiled ``"njit"`` engine, or ``"auto"``
     (the default) which picks the fastest engine that is bit-for-bit
-    equal to the loop for this call and falls back to the loop whenever
-    one is not (trace mode, policies outside the standard five).
+    equal to the loop for this call.  A SoC trace runs on ``"segments"``;
+    per-step flow traces, policies outside the standard five and a SoC
+    trace of a single (scenario, candidate) cell fall back to the loop.
     Explicit compiled engines refuse instead of falling back — see
     :func:`repro.core.kernel.resolve_engine`.
 
     Trace mode (``trace_soc`` / ``trace_flows``) additionally records the
-    per-step SoC and power flows — the seam behind
+    per-step SoC and power flows — the seam behind rainflow degradation,
     :meth:`~repro.core.fastsim.BatchEvaluator.soc_history` and the
     conservation property tests.  Traces cost O(S·N·T) memory, so leave
     them off for large sweeps.
@@ -426,7 +427,10 @@ def run_dispatch(
     if engine != "loop":
         from . import kernel  # deferred: kernel imports this module
 
-        resolved = kernel.resolve_engine(engine, policy, trace_soc or trace_flows)
+        resolved = kernel.resolve_engine(engine, policy, trace_soc, trace_flows)
+        # Inexact segments fold at S·N = 1: test_single_cell_long_horizon_segments_bitwise
+        if engine == "auto" and trace_soc and stack.n_scenarios * solar_kw.size == 1:
+            resolved = "loop"
         if resolved != "loop":
             return kernel.run_compiled(
                 stack,
@@ -437,6 +441,7 @@ def run_dispatch(
                 initial_soc=initial_soc,
                 policy=policy,
                 engine=resolved,
+                trace_soc=trace_soc,
             )
     n = int(solar_kw.size)
     s = stack.n_scenarios

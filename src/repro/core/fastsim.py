@@ -174,9 +174,8 @@ def evaluate_across_scenarios(
     solar_kw, turb_eff, capacity_wh = _candidate_vectors(compositions)
     params = battery_params or CLCParameters(capacity_wh=1.0)
     # Rainflow degradation (DESIGN.md §11) counts cycles off the SoC
-    # trace, so those scenarios force trace mode (the auto engine falls
-    # back to the reference loop under tracing — engines are bit-equal,
-    # so only throughput changes).
+    # trace, so those scenarios force trace mode (the auto engine records
+    # it on the segments engine, bit-equal to the loop's trace).
     needs_trace = any(s.battery_degradation == "rainflow" for s in scenarios)
     res = run_dispatch(
         stack,

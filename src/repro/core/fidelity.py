@@ -6,10 +6,10 @@ paper's cost model actually dominates on: *model fidelity*.  Every
 scenario has cheap physics siblings — swap the Perez transposition for a
 clear-sky scaling, the SAPM cell temperature for NOCT, rainflow battery
 degradation for a closed-form linear law — that evaluate the same
-candidate far faster (the cheap siblings keep the compiled dispatch
-engines; rainflow needs the SoC-trace loop).  A fidelity ladder names an
-ordered subset of :data:`FIDELITY_LEVELS` ending at ``full`` and races
-candidates *up* it:
+candidate far faster (the cheap siblings skip the per-step SoC trace
+and the rainflow count).  A fidelity ladder names an ordered subset of
+:data:`FIDELITY_LEVELS` ending at ``full`` and races candidates *up*
+it:
 
 1. **Siblings** — :func:`sibling_scenario` rebuilds only the per-unit
    solar profile (one 1 kW PVWatts run on the shared
@@ -139,11 +139,11 @@ class FidelityLevel:
 
 #: The named physics rungs, cheapest first.  ``lo`` runs the clear-sky
 #: clearness-scaled transposition with NOCT temperature and the linear
-#: degradation law (compiled dispatch engines stay available); ``mid``
-#: upgrades transposition to Hay–Davies; ``full`` is the SAM-faithful
-#: top — Perez 1990 transposition, SAPM cell temperature, and rainflow
-#: cycle counting (which needs the SoC-trace dispatch loop, making the
-#: full rung the expensive one the ladder tries to avoid paying).
+#: degradation law (no SoC trace needed); ``mid`` upgrades transposition
+#: to Hay–Davies; ``full`` is the SAM-faithful top — Perez 1990
+#: transposition, SAPM cell temperature, and rainflow cycle counting
+#: (which needs a per-step SoC trace and a Python cycle count per cell,
+#: making the full rung the expensive one the ladder tries to avoid).
 FIDELITY_LEVELS: "dict[str, FidelityLevel]" = {
     "lo": FidelityLevel("lo", "clearsky", "noct", "linear"),
     "mid": FidelityLevel("mid", "haydavies", "noct", "linear"),

@@ -36,11 +36,15 @@ through it.  This module provides two drop-in replacements that compute
     reassociation), so the scalar op order mirrors the reference loop
     exactly and the outputs are bitwise equal as well.
 
-The reference loop **stays** the oracle: it is the simplest statement of
-the semantics, supports trace mode, and accepts arbitrary policy objects.
-:func:`resolve_engine` therefore routes trace requests and non-lowerable
-policies back to ``"loop"`` under ``engine="auto"`` and refuses them
-loudly for explicitly requested compiled engines.
+The segments engine also records the per-step SoC trace
+(``trace_soc``) that rainflow degradation counts cycles off; njit does
+not.  The reference loop **stays** the oracle: it is the simplest
+statement of the semantics, the only engine that records per-step flows
+(``trace_flows``), and accepts arbitrary policy objects.
+:func:`resolve_engine` therefore routes SoC traces to ``"segments"``,
+flow traces and non-lowerable policies to ``"loop"`` under
+``engine="auto"``, and refuses what an explicitly requested compiled
+engine cannot record.
 
 A ``dtype=np.float32`` knob on the segments engine provides the racing
 fast path: float32 halves memory traffic for the lower fidelity rungs
@@ -172,15 +176,20 @@ def lower_policy(
 def resolve_engine(
     engine: str,
     policy: VectorizedPolicy | None = None,
-    tracing: bool = False,
+    trace_soc: bool = False,
+    trace_flows: bool = False,
 ) -> str:
     """Resolve the ``engine`` knob to a concrete engine name.
 
     ``"auto"`` silently falls back to the reference loop whenever a
-    compiled engine cannot reproduce it bit-for-bit (trace mode, custom
-    policies) and otherwise prefers njit > segments.  Explicitly
-    requested compiled engines *refuse* instead of falling back, so a
-    user who asked for ``"njit"`` never silently measures the loop.
+    compiled engine cannot reproduce it bit-for-bit (per-step flow
+    traces, custom policies).  A SoC trace goes to ``"segments"``, the
+    one compiled engine that records it; otherwise ``"auto"`` prefers
+    njit > segments.  Explicitly requested compiled engines *refuse*
+    instead of falling back, so a user who asked for ``"njit"`` never
+    silently measures the loop.  (:func:`repro.core.dispatch.run_dispatch`
+    keeps one more ``"auto"`` case on the loop: a SoC trace of a single
+    cell, see the comment there.)
     """
     if engine not in ENGINES:
         raise ConfigurationError(
@@ -190,13 +199,20 @@ def resolve_engine(
         return "loop"
     lowerable = is_lowerable(policy)
     if engine == "auto":
-        if tracing or not lowerable:
+        if trace_flows or not lowerable:
             return "loop"
+        if trace_soc:
+            return "segments"
         return "njit" if HAS_NUMBA else "segments"
-    if tracing:
+    if trace_flows:
         raise ConfigurationError(
-            f"engine={engine!r} does not support trace mode; "
+            f"engine={engine!r} does not record per-step flows; "
             "use engine='loop' (or 'auto', which falls back to it)"
+        )
+    if trace_soc and engine == "njit":
+        raise ConfigurationError(
+            "engine='njit' does not record a SoC trace; "
+            "use engine='segments' or 'auto'"
         )
     if not lowerable:
         raise ConfigurationError(
@@ -221,6 +237,7 @@ def run_compiled(
     policy: VectorizedPolicy | None = None,
     engine: str = "segments",
     dtype: "np.dtype | type" = np.float64,
+    trace_soc: bool = False,
 ) -> DispatchResult:
     """Run a *resolved* compiled engine (``"segments"`` or ``"njit"``)."""
     if engine == "segments":
@@ -233,7 +250,10 @@ def run_compiled(
             initial_soc=initial_soc,
             policy=policy,
             dtype=dtype,
+            trace_soc=trace_soc,
         )
+    if trace_soc:
+        raise ConfigurationError(f"engine={engine!r} does not record a SoC trace")
     if engine == "njit":
         return _run_dispatch_njit(
             stack,
@@ -283,6 +303,7 @@ def run_dispatch_segments(
     policy: VectorizedPolicy | None = None,
     dtype: "np.dtype | type" = np.float64,
     block: int = 8,
+    trace_soc: bool = False,
 ) -> DispatchResult:
     """Segment-vectorized dispatch: bitwise-equal to the reference loop.
 
@@ -291,7 +312,9 @@ def run_dispatch_segments(
     processing, keeping every floating-point operation IEEE-identical to
     the loop.  ``dtype=np.float32`` selects the non-bitwise racing fast
     path.  ``block`` trades prologue/epilogue amortization against
-    working-set size; correctness does not depend on it.
+    working-set size; correctness does not depend on it.  ``trace_soc``
+    records the per-step SoC as the loop does, returned as an
+    ``(S, N, T+1)`` view of one time-major buffer.
     """
     policy = policy or DefaultDispatch()
     table = lower_policy(policy, stack)
@@ -416,8 +439,19 @@ def run_dispatch_segments(
 
     mul, div, sub, add = np.multiply, np.divide, np.subtract, np.add
     mx, mn = np.maximum, np.minimum
-    charge_rows = contrib[2]
-    discharge_rows = contrib[3]
+    # Flat per-step row views of the block buffers, built once per call.
+    rp_rows = [rp[i].reshape(-1) for i in range(blk)]
+    rn_rows = [rn[i].reshape(-1) for i in range(blk)]
+    acc_rows = [accepted[i].reshape(-1) for i in range(blk)]
+    pc_rows = [contrib[2, 1 + i].reshape(-1) for i in range(blk)]
+    pd_rows = [contrib[3, 1 + i].reshape(-1) for i in range(blk)]
+
+    # SoC trace, time-major so each step writes one contiguous row: the
+    # loop's energy_wh / safe_cap, same operands and the same one divide.
+    soc_rows = None
+    if trace_soc:
+        soc_rows = np.empty((t_steps + 1, flat), dtype=f)
+        div(energy, safe_f, soc_rows[0])
 
     for t0 in range(0, t_steps, blk):
         t1 = min(t0 + blk, t_steps)
@@ -450,11 +484,6 @@ def run_dispatch_segments(
             np.copyto(rn_g[:b], rn_u[:b, :, :, None])
 
         # --- sequential battery recurrence (C/L/C, exact op order) -------
-        rp_rows = [rp[i].reshape(-1) for i in range(b)]
-        rn_rows = [rn[i].reshape(-1) for i in range(b)]
-        acc_rows = [accepted[i].reshape(-1) for i in range(b)]
-        pc_rows = [charge_rows[1 + i].reshape(-1) for i in range(b)]
-        pd_rows = [discharge_rows[1 + i].reshape(-1) for i in range(b)]
         for i in range(b):
             p_charge = pc_rows[i]
             p_discharge = pd_rows[i]
@@ -488,6 +517,8 @@ def run_dispatch_segments(
             sub(energy, avail, energy)
             mx(energy, 0.0, out=energy)
             mn(energy, e_max, out=energy)
+            if soc_rows is not None:
+                div(energy, safe_f, soc_rows[t0 + i + 1])
 
         # --- epilogue: grid split, costs, emissions, islanding -----------
         acc_b = accepted[:b]
@@ -522,6 +553,12 @@ def run_dispatch_segments(
         np.add.reduce(contrib[:, : b + 1], axis=1, out=totals)
 
     out = totals.astype(np.float64)  # exact for f64; exact widening for f32
+    soc = None
+    if soc_rows is not None:
+        # A transposed view, not a copy: a copy would double the trace's
+        # peak memory.
+        soc = soc_rows.astype(np.float64, copy=False)
+        soc = soc.reshape(t_steps + 1, s, n).transpose(1, 2, 0)
     return DispatchResult(
         import_wh=out[0],
         export_wh=out[1],
@@ -531,6 +568,7 @@ def run_dispatch_segments(
         emissions_kg=out[5],
         cost_usd=out[6],
         islanded_steps=out[7],
+        soc=soc,
     )
 
 

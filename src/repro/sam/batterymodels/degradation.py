@@ -49,7 +49,7 @@ class DegradationParameters:
 
     def cycles_to_failure(self, depth: float) -> float:
         """Wöhler curve: cycles to EOL at the given depth of discharge."""
-        d = float(np.clip(depth, 1e-4, 1.0))
+        d = min(max(float(depth), 1e-4), 1.0)  # np.clip costs ~10 µs on a scalar
         return self.cycles_to_failure_full_dod * d**-self.woehler_exponent
 
 

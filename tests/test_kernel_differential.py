@@ -19,6 +19,10 @@ the property-fuzz harness that enforces it:
 * edge regimes called out in the kernel design: zero-capacity
   batteries, saturating charge limits, single-step horizons, and
   all-idle discharge windows;
+* SoC trace mode: the segments engine's trace and accumulators against
+  the loop's, on random draws and end to end through rainflow fade on a
+  real ensemble, plus the ``auto`` routing that keeps a single traced
+  cell on the loop;
 * the float32 racing fast path, which is *not* bitwise — its epsilon is
   pinned here instead (see DESIGN.md §9 and the racing rung tests).
 """
@@ -31,6 +35,7 @@ import numpy as np
 import pytest
 
 from repro.core import kernel
+from repro.core.composition import MicrogridComposition
 from repro.core.dispatch import (
     ISLANDED_EPS_W,
     CarbonAwareDispatch,
@@ -42,6 +47,12 @@ from repro.core.dispatch import (
     VectorizedPolicy,
     run_dispatch,
     stack_scenarios,
+)
+from repro.core.ensemble import EnsembleSpec, build_ensemble
+from repro.core.fastsim import (
+    BatchEvaluator,
+    _candidate_vectors,
+    evaluate_across_scenarios,
 )
 from repro.cosim.battery import CLCBattery
 from repro.cosim.policy import (
@@ -337,6 +348,33 @@ class TestPropertyFuzz:
             oracle = scalar_oracle(stack, *cands, params, policy)
             assert_rows_equal(loop, oracle, f"seed={seed} {type(policy).__name__} oracle")
 
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+    def test_segments_soc_trace_bitwise_equal_on_random_problems(self, seed):
+        """Trace mode: the segments engine's SoC trace and accumulators
+        are the loop's, bit for bit, for every lowerable policy, over
+        horizons that span several blocks and S·N > 1."""
+        rng = np.random.default_rng(5_000 + seed)
+        s = int(rng.integers(1, 4))
+        n = int(rng.choice([2, 5, 9, 18])) if s == 1 else int(rng.choice([1, 5, 17]))
+        t = int(rng.choice([9, 17, 25, 49]))
+        stack = random_stack(rng, s, t, float(rng.choice([900.0, 3_600.0])))
+        params = random_params(rng)
+        cands = random_candidates(rng, n)
+        for policy in random_policies(rng, s):
+            label = f"seed={seed} S={s} N={n} T={t} {type(policy).__name__}"
+            loop = run_dispatch(
+                stack, *cands, params, policy=policy, engine="loop", trace_soc=True
+            )
+            for engine in ("segments", "auto"):
+                got = run_dispatch(
+                    stack, *cands, params, policy=policy, engine=engine, trace_soc=True
+                )
+                assert got.soc.shape == (s, n, t + 1)
+                np.testing.assert_array_equal(
+                    got.soc, loop.soc, err_msg=f"{label} {engine}: SoC trace"
+                )
+                assert_rows_equal(result_rows(got), result_rows(loop), f"{label} {engine}")
+
     def test_grouped_candidate_layout(self):
         """The paper-style repeated-(solar, wind) layout exercises the
         segments engine's grouped prologue; results must not change."""
@@ -433,14 +471,44 @@ class TestEngineResolution:
         assert kernel.resolve_engine("auto", None) == expected
 
     def test_auto_falls_back_to_loop_for_tracing(self):
-        assert kernel.resolve_engine("auto", DefaultDispatch(), tracing=True) == "loop"
+        """Per-step flows are recorded by the loop alone."""
+        for trace_soc in (False, True):
+            resolved = kernel.resolve_engine(
+                "auto", DefaultDispatch(), trace_soc=trace_soc, trace_flows=True
+            )
+            assert resolved == "loop"
+
+    def test_auto_routes_soc_trace_to_segments(self):
+        """Even with numba installed: njit records no trace."""
+        assert kernel.resolve_engine("auto", DefaultDispatch(), trace_soc=True) == "segments"
+        assert kernel.resolve_engine("auto", _CustomPolicy(), trace_soc=True) == "loop"
 
     def test_auto_falls_back_to_loop_for_custom_policy(self):
         assert kernel.resolve_engine("auto", _CustomPolicy()) == "loop"
 
     def test_explicit_engine_refuses_tracing(self):
         with pytest.raises(ConfigurationError):
-            kernel.resolve_engine("segments", DefaultDispatch(), tracing=True)
+            kernel.resolve_engine("segments", DefaultDispatch(), trace_flows=True)
+        with pytest.raises(ConfigurationError, match="SoC trace"):
+            kernel.resolve_engine("njit", DefaultDispatch(), trace_soc=True)
+
+    def test_explicit_segments_accepts_soc_trace(self):
+        assert (
+            kernel.resolve_engine("segments", DefaultDispatch(), trace_soc=True)
+            == "segments"
+        )
+
+    def test_auto_single_cell_soc_trace_stays_on_loop(self):
+        """S·N = 1 is where the segments fold is inexact (the strict xfail
+        above, same draw), so a traced auto call keeps the loop's sums."""
+        rng = np.random.default_rng(15)
+        stack = random_stack(rng, 1, 25, 3_600.0)
+        cands = random_candidates(rng, 1)
+        params = random_params(rng)
+        loop = run_dispatch(stack, *cands, params, engine="loop", trace_soc=True)
+        auto = run_dispatch(stack, *cands, params, trace_soc=True)
+        assert_rows_equal(result_rows(auto), result_rows(loop), "S=N=1 traced auto")
+        np.testing.assert_array_equal(auto.soc, loop.soc)
 
     def test_explicit_engine_refuses_unlowerable_policy(self):
         with pytest.raises(ConfigurationError):
@@ -473,6 +541,59 @@ class TestEngineResolution:
                 )
             )
             assert_rows_equal(auto, loop, f"auto-vs-loop {type(policy).__name__}")
+
+
+@pytest.fixture(scope="module")
+def rainflow_members():
+    """A real one-month, four-member Houston ensemble with rainflow fade."""
+    spec = EnsembleSpec.parse(
+        "years=2020-2021,severity=1.0:1.5", sites=("houston",), n_hours=24 * 30
+    )
+    return [
+        dataclasses.replace(m, battery_degradation="rainflow")
+        for m in build_ensemble(spec)
+    ]
+
+
+RAINFLOW_COMPS = [
+    MicrogridComposition(n_turbines=0, solar_kw=40_000.0, battery_units=1),
+    MicrogridComposition(n_turbines=4, solar_kw=8_000.0, battery_units=3),
+    MicrogridComposition(n_turbines=10, solar_kw=0.0, battery_units=8),
+    MicrogridComposition(n_turbines=2, solar_kw=24_000.0, battery_units=0),
+]
+
+
+class TestRainflowEndToEnd:
+    """Rainflow fade counts cycles off the SoC trace, so ``auto`` runs it
+    on the segments engine (the loop for one cell): every metric, fade
+    included, must equal the loop's bit for bit."""
+
+    @pytest.mark.parametrize("n_members, n_comps", [(4, 4), (1, 1)])
+    def test_auto_equals_loop(self, rainflow_members, n_members, n_comps):
+        members = rainflow_members[:n_members]
+        comps = RAINFLOW_COMPS[:n_comps]
+        auto = evaluate_across_scenarios(members, comps, engine="auto")
+        loop = evaluate_across_scenarios(members, comps, engine="loop")
+        for row_auto, row_loop in zip(auto, loop):
+            for a, b in zip(row_auto, row_loop):
+                assert dataclasses.asdict(a.metrics) == dataclasses.asdict(b.metrics)
+        assert any(ev.metrics.battery_fade > 0.0 for row in auto for ev in row)
+
+    def test_soc_history_equals_loop_trace(self, rainflow_members):
+        """``soc_histories`` reads the segments trace through its
+        transposed view; ``soc_history`` of one build runs the loop."""
+        evaluator = BatchEvaluator(rainflow_members[0])
+        loop = run_dispatch(
+            stack_scenarios(rainflow_members[:1]),
+            *_candidate_vectors(RAINFLOW_COMPS),
+            evaluator.battery_params,
+            engine="loop",
+            trace_soc=True,
+        ).soc[0].T
+        np.testing.assert_array_equal(evaluator.soc_histories(RAINFLOW_COMPS), loop)
+        for i, comp in enumerate(RAINFLOW_COMPS):
+            if comp.battery_wh > 0:
+                np.testing.assert_array_equal(evaluator.soc_history(comp), loop[:, i])
 
 
 @pytest.mark.skipif(
@@ -536,3 +657,17 @@ class TestFloat32Rungs:
         )
         for name in FIELDS:
             assert getattr(res, name).dtype == np.float64
+
+    def test_float32_soc_trace_is_float64_promoted(self, houston_month):
+        """The float32 trace widens to float64 and tracks the float64
+        trace within the rung epsilon (not bitwise — float32 is not)."""
+        stack = stack_scenarios([houston_month])
+        cands = (np.array([0.0, 9_000.0]), np.array([4.0, 0.0]), np.array([2.25e7, 6.0e7]))
+        params = CLCParameters(capacity_wh=1.0)
+        f64 = kernel.run_dispatch_segments(stack, *cands, params, trace_soc=True)
+        f32 = kernel.run_dispatch_segments(
+            stack, *cands, params, dtype=np.float32, trace_soc=True
+        )
+        assert f32.soc.dtype == np.float64
+        assert f32.soc.shape == f64.soc.shape == (1, 2, stack.n_steps + 1)
+        assert np.abs(f32.soc - f64.soc).max() < FLOAT32_REL_EPS
