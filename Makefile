@@ -34,13 +34,17 @@ regression:
 	PYTHONPATH=src python benchmarks/check_regression.py --baseline-ref HEAD
 
 # Study benchmark (perfbench/README.md) as a front-parity gate: the
-# paper's Houston study (segments engine), then the raced ensemble whose
-# rainflow fade runs the SoC-trace path, both at seed 42.  run.py exits
-# 0 even when a Pareto front differs from perfbench/references.json, so
-# each run's last output line (JSON) is checked for "correct": true here.
+# paper's Houston study (segments engine), the raced ensemble whose
+# rainflow fade runs the SoC-trace path, and the one-remote-worker study,
+# all at seed 42.  remote_1w evaluates one candidate per call, so it is
+# the only workload whose references pin the segments engine at S*N = 1.
+# A remote_1w study takes about 15 s on a 2-CPU host, so with a shorter
+# PERFBENCH_SECONDS its run makes just one study.  run.py exits 0 even
+# when a Pareto front differs from perfbench/references.json, so each
+# run's last output line (JSON) is checked for "correct": true here.
 PERFBENCH_SECONDS ?= 25
 perfbench:
-	for workload in paper_houston ensemble_ladder; do \
+	for workload in paper_houston ensemble_ladder remote_1w; do \
 	python3 perfbench/run.py --workload $$workload --seed 42 --seconds $(PERFBENCH_SECONDS) --trace 0 \
 	| tail -n 1 | python3 -c 'import json, sys; line = sys.stdin.read(); print(line, end=""); \
 	sys.exit(0 if json.loads(line).get("correct") is True else "perfbench: a Pareto front differs from perfbench/references.json")' \

@@ -13,16 +13,23 @@ through it.  This module provides two drop-in replacements that compute
     recurrence itself stays sequential (SoC couples consecutive steps),
     but everything around it is restructured for throughput:
 
-    * time steps are processed in blocks — the net-load/request prologue
-      and the grid/cost/emissions epilogue run once per block over
-      ``(block, S, N)`` tensors instead of once per step;
+    * time steps are processed in chunks — the net-load/request prologue
+      and the grid/cost/emissions epilogue run once per chunk over
+      ``(chunk, S, N)`` tensors instead of once per step.  The chunk is
+      sized from the call's width (64 steps for narrow calls, 8 for wide
+      ones); the per-step contributions are folded into the totals in
+      fixed 8-step groups, whatever the chunk;
     * the paper's candidate grid repeats each (solar, wind) pair over the
       battery axis, so net load is computed on the ~9× smaller set of
       unique pairs and broadcast back;
     * per-step battery state lives in one contiguous ``(rows, S·N)``
-      workspace so adjacent rows can share fused ufunc calls, and every
-      operation writes into preallocated buffers (zero allocations in the
-      inner loop).
+      workspace so adjacent rows can share fused ufunc calls, its
+      constants (including 0, 1 and the decay factor) are rows too, so
+      every per-step ufunc takes array operands only, and every
+      operation writes into preallocated buffers (zero allocations in
+      the inner loop).  An hourly step costs 18 ufunc calls; a one-cell
+      call (S·N = 1) makes the same calls out of place, since a ufunc
+      whose output is also an input costs about twice as much there.
 
     Each replaced expression is an exact floating-point identity of the
     reference loop's (same IEEE-754 operations, same order), so the
@@ -293,6 +300,31 @@ def _candidate_groups(
     return 1, solar_kw, turbine_factor
 
 
+#: Steps per accumulator fold: one ``np.add.reduce`` adds a group of this
+#: many per-step contributions to the running total.  For S·N > 1 the
+#: reduce runs left to right, as the loop's ``+=`` does.  At S·N = 1 numpy
+#: sums each full group pairwise, which is the known defect pinned by the
+#: strict xfail ``test_single_cell_long_horizon_segments_bitwise``; the
+#: group size is therefore part of the S·N = 1 results.
+_FOLD_STEPS = 8
+#: Cell budget (steps × S·N) of one prologue/epilogue chunk buffer.
+_CHUNK_CELLS = 4096
+#: Longest prologue/epilogue chunk, in steps.
+_CHUNK_MAX_STEPS = 64
+
+
+def _chunk_steps(flat: int) -> int:
+    """Steps per prologue/epilogue chunk for a call ``flat`` = S·N cells wide.
+
+    Whole fold groups, at most ``_CHUNK_MAX_STEPS``, and no more than fit
+    ``_CHUNK_CELLS``: narrow calls amortize the chunk's ufunc calls over
+    64 steps, while wide calls (S·N ≥ 512) keep 8-step chunks, whose
+    buffers stay in cache (a fixed 64-step chunk measured slower there).
+    """
+    folds = min(_CHUNK_MAX_STEPS, _CHUNK_CELLS // flat) // _FOLD_STEPS
+    return _FOLD_STEPS * max(1, folds)
+
+
 def run_dispatch_segments(
     stack: ScenarioStack,
     solar_kw: np.ndarray,
@@ -302,19 +334,19 @@ def run_dispatch_segments(
     initial_soc: float = 0.5,
     policy: VectorizedPolicy | None = None,
     dtype: "np.dtype | type" = np.float64,
-    block: int = 8,
     trace_soc: bool = False,
 ) -> DispatchResult:
     """Segment-vectorized dispatch: bitwise-equal to the reference loop.
 
     Restructures :func:`repro.core.dispatch.run_dispatch` around a mode
-    table (policy decisions precomputed for all steps) and block
-    processing, keeping every floating-point operation IEEE-identical to
-    the loop.  ``dtype=np.float32`` selects the non-bitwise racing fast
-    path.  ``block`` trades prologue/epilogue amortization against
-    working-set size; correctness does not depend on it.  ``trace_soc``
-    records the per-step SoC as the loop does, returned as an
-    ``(S, N, T+1)`` view of one time-major buffer.
+    table (policy decisions precomputed for all steps) and chunked
+    prologue/epilogue processing, keeping every floating-point operation
+    IEEE-identical to the loop.  The chunk length follows the call's
+    width (see :func:`_chunk_steps`); the accumulator fold always runs
+    over groups of ``_FOLD_STEPS`` steps, so the results do not depend
+    on it.  ``dtype=np.float32`` selects the non-bitwise racing fast
+    path.  ``trace_soc`` records the per-step SoC as the loop does,
+    returned as an ``(S, N, T+1)`` view of one time-major buffer.
     """
     policy = policy or DefaultDispatch()
     table = lower_policy(policy, stack)
@@ -322,8 +354,6 @@ def run_dispatch_segments(
         raise ConfigurationError(
             f"policy {type(policy).__name__} cannot be lowered; use engine='loop'"
         )
-    if block <= 0:
-        raise ConfigurationError(f"block must be positive, got {block}")
     f = np.dtype(dtype)
     if f not in (np.dtype(np.float64), np.dtype(np.float32)):
         raise ConfigurationError(f"dtype must be float64 or float32, got {dtype!r}")
@@ -335,7 +365,7 @@ def run_dispatch_segments(
     dt_h = stack.step_s / SECONDS_PER_HOUR
     unit_dt = dt_h == 1.0
     flat = s * n
-    blk = int(block)
+    blk = _chunk_steps(flat)
 
     cap = np.asarray(capacity_wh, dtype=np.float64)
     safe_cap = np.maximum(cap, 1e-12)
@@ -352,11 +382,14 @@ def run_dispatch_segments(
     tb_u = tb_u.astype(f, copy=False)
 
     # Battery workspace: one row per per-candidate state/constant, flat
-    # (S·N) so adjacent rows can share fused ufunc calls below.
+    # (S·N) so adjacent rows can share fused ufunc calls below.  Scalars
+    # enter the step as constant rows too: a ufunc with two array
+    # operands dispatches about twice as fast as one with a Python float.
     #   0 e_max | 1 energy | 2 e_min | 3 headroom | 4 available
-    #   5 p_lim | 6 discharge limit | 7 soc/taper | 8 safe_cap
-    #   9 cap·c_rate | 10 span | 11 eta_c | 12 eta_d
-    work = np.empty((13, flat), dtype=f)
+    #   5 taper, then p_lim | 6 discharge limit | 7 eta_d | 8 cap·c_rate
+    #   9 safe_cap | 10 span | 11 eta_c | 12 decay | 13 soc_max
+    #   14, 15 zero | 16 one | 17, 18 dt_h
+    work = np.empty((19, flat), dtype=f)
 
     def _fill(row: int, values: "np.ndarray | float") -> None:
         np.copyto(work[row], np.broadcast_to(np.asarray(values, dtype=f), (s, n)).reshape(-1))
@@ -365,32 +398,56 @@ def run_dispatch_segments(
     _fill(1, cap * soc0)
     _fill(2, cap * params.soc_min)
     _fill(6, cap * params.max_discharge_c_rate)
-    _fill(8, safe_cap)
-    _fill(9, cap * params.max_charge_c_rate)
-    span = max(params.soc_max - params.taper_soc_threshold, 1e-9)
-    work[10] = span
+    work[7] = params.eta_discharge
+    _fill(8, cap * params.max_charge_c_rate)
+    _fill(9, safe_cap)
+    work[10] = max(params.soc_max - params.taper_soc_threshold, 1e-9)
     work[11] = params.eta_charge
-    work[12] = params.eta_discharge
+    work[12] = 1.0 - params.self_discharge_per_hour * dt_h
+    work[13] = params.soc_max
+    work[14:16] = 0.0
+    work[16] = 1.0
+    work[17:19] = dt_h
 
-    e_max, energy, head, avail, p_lim, taper = (
-        work[0],
-        work[1],
-        work[3],
-        work[4],
-        work[5],
-        work[7],
-    )
-    safe_f, capr_f, span_f, etac_f, etad_f = work[8], work[9], work[10], work[11], work[12]
-    # Fused row pairs: head/avail = (e_max, energy) − (energy, e_min) and
-    # min((p_lim, d_lim), (head, avail)) each run as ONE two-row ufunc call.
+    e_max, energy, head, avail, taper = work[0], work[1], work[3], work[4], work[5]
+    etad_f, safe_f, span_f, etac_f = work[7], work[9], work[10], work[11]
+    decay_f, socmax_f, zero_f, one_f, dt_f = work[12], work[13], work[14], work[16], work[17]
+    # Fused row pairs, each ONE two-row ufunc call per step:
+    #   (head, avail) = (e_max, energy) − (energy, e_min)
+    #   (avail, taper) = max((avail, taper), 0)
+    #   (avail, p_lim) = (avail, taper) · (eta_d, cap·c_rate)
+    #   (head, avail) = min((p_lim, d_lim), (head, avail))
+    # and, off the hour, (head, avail) /= dt_h.
     rows_eh = work[0:2]
-    rows_ha = work[3:5]
-    rows_pd = work[5:7]
     rows_ee = work[1:3]
+    rows_ha = work[3:5]
+    rows_at = work[4:6]
+    rows_pd = work[5:7]
+    rows_dc = work[7:9]
+    zero2 = work[14:16]
+    dt2 = work[17:19]
+    # A ufunc that writes over its input costs about twice as much when
+    # the rows are one cell long (about 0.9 µs against 0.4 µs), while
+    # wider rows are fastest updated in place.  So at S·N = 1 the step's
+    # one-row updates go out of place: energy steps through a spare row,
+    # and min(taper, 1) and head/η_c run as two-row calls on (avail, taper)
+    # and (head, avail), whose avail row is an exact no-op (min(avail, inf),
+    # avail/1).  At S·N > 1 these names alias the rows they update, and the
+    # step is the in-place one.
+    if flat == 1:
+        spare = np.empty((6, 1), dtype=f)  # next energy | scratch | inf, 1 | eta_c, 1
+        spare[2:, 0] = (np.inf, 1.0, params.eta_charge, 1.0)
+        e_next, t_tmp, e_tmp, e_tmp2 = spare[0], spare[1], spare[1], head
+        rows_taper, cap_taper = rows_at, spare[2:4]
+        rows_head, div_head = rows_ha, spare[4:6]
+        np.copyto(e_next, energy)
+    else:
+        e_next = e_tmp = e_tmp2 = energy
+        t_tmp = taper
+        rows_taper, cap_taper = taper, one_f
+        rows_head, div_head = head, etac_f
 
-    decay = 1.0 - params.self_discharge_per_hour * dt_h
     eps_wh = ISLANDED_EPS_W * dt_h
-    soc_max = params.soc_max
 
     # Time-major contiguous profiles: one cheap row index per step instead
     # of a strided column slice (the reference loop now does the same).
@@ -408,10 +465,9 @@ def run_dispatch_segments(
     # Accumulator rows (matching the reference loop's += order):
     #   0 import | 1 export | 2 charge | 3 discharge | 4 unserved
     #   5 emissions | 6 cost | 7 islanded steps
-    # Each block writes per-step contributions into contrib[:, 1:b+1] and
-    # folds them with one strictly-sequential add.reduce whose row 0 is
-    # the running total — the same left-to-right addition order as the
-    # loop's per-step +=.
+    # Each chunk writes per-step contributions into contrib[:, 1:b+1] and
+    # folds them _FOLD_STEPS at a time: the running total goes into the
+    # column just before the group, and one add.reduce sums the group.
     n_acc = 8
     totals = np.zeros((n_acc, s, n), dtype=f)
     contrib = np.empty((n_acc, blk + 1, s, n), dtype=f)
@@ -419,15 +475,13 @@ def run_dispatch_segments(
     if islanded:
         contrib[5] = 0.0  # no grid import → no operational emissions
 
-    # Block scratch. rp/rn double as kWh scratch in the epilogue.
+    # Chunk scratch. rn doubles as scratch in the prologue, rp/rn as kWh
+    # scratch in the epilogue, and net holds the residual there.
     net = np.empty((blk, s, n), dtype=f)
     rp = np.empty((blk, s, n), dtype=f)
     rn = np.empty((blk, s, n), dtype=f)
-    accepted = np.empty((blk, s, n), dtype=f)
-    residual = np.empty((blk, s, n), dtype=f)
     if grouped:
         net_u = np.empty((blk, s, u), dtype=f)
-        scratch_u = np.empty((blk, s, u), dtype=f)
         rp_u = np.empty((blk, s, u), dtype=f)
         rn_u = np.empty((blk, s, u), dtype=f)
         net_g = net.reshape(blk, s, u, group)
@@ -435,14 +489,12 @@ def run_dispatch_segments(
         rn_g = rn.reshape(blk, s, u, group)
     else:
         net_u, rp_u, rn_u = net, rp, rn
-        scratch_u = np.empty((blk, s, n), dtype=f)
 
     mul, div, sub, add = np.multiply, np.divide, np.subtract, np.add
     mx, mn = np.maximum, np.minimum
-    # Flat per-step row views of the block buffers, built once per call.
+    # Flat per-step row views of the chunk buffers, built once per call.
     rp_rows = [rp[i].reshape(-1) for i in range(blk)]
     rn_rows = [rn[i].reshape(-1) for i in range(blk)]
-    acc_rows = [accepted[i].reshape(-1) for i in range(blk)]
     pc_rows = [contrib[2, 1 + i].reshape(-1) for i in range(blk)]
     pd_rows = [contrib[3, 1 + i].reshape(-1) for i in range(blk)]
 
@@ -451,7 +503,7 @@ def run_dispatch_segments(
     soc_rows = None
     if trace_soc:
         soc_rows = np.empty((t_steps + 1, flat), dtype=f)
-        div(energy, safe_f, soc_rows[0])
+        div(e_next, safe_f, soc_rows[0])
 
     for t0 in range(0, t_steps, blk):
         t1 = min(t0 + blk, t_steps)
@@ -465,8 +517,8 @@ def run_dispatch_segments(
         load_c = load_t[t0:t1, :, None]
         nu = net_u[:b]
         mul(sol_c, kw_u, nu)
-        mul(wind_c, tb_u, scratch_u[:b])
-        add(nu, scratch_u[:b], nu)
+        mul(wind_c, tb_u, rn_u[:b])
+        add(nu, rn_u[:b], nu)
         sub(nu, load_c, nu)
         mx(nu, 0.0, out=rp_u[:b])
         sub(rp_u[:b], nu, rn_u[:b])
@@ -487,47 +539,44 @@ def run_dispatch_segments(
         for i in range(b):
             p_charge = pc_rows[i]
             p_discharge = pd_rows[i]
-            mul(energy, decay, energy)  # self-discharge (max(·,0) is a no-op: e ≥ 0)
+            mul(e_next, decay_f, energy)  # self-discharge (max(·,0) is a no-op: e ≥ 0)
             div(energy, safe_f, taper)
-            sub(soc_max, taper, taper)
-            div(taper, span_f, taper)
-            mx(taper, 0.0, out=taper)
-            mn(taper, 1.0, out=taper)
-            mul(capr_f, taper, p_lim)
+            sub(socmax_f, taper, t_tmp)
+            div(t_tmp, span_f, taper)
             sub(rows_eh, rows_ee, rows_ha)  # head = e_max − e ; avail = e − e_min
+            mx(rows_at, zero2, out=rows_at)  # max(avail, 0) ; max(taper, 0)
             if not unit_dt:
-                div(head, dt_h, head)
-            div(head, etac_f, head)
-            mx(avail, 0.0, out=avail)
-            if not unit_dt:
-                div(avail, dt_h, avail)
-            mul(avail, etad_f, avail)
+                div(rows_ha, dt2, rows_ha)
+            div(rows_head, div_head, rows_head)  # head / η_c
+            mn(rows_taper, cap_taper, out=rows_taper)  # min(taper, 1)
+            # avail·η_d ; p_lim = taper·(cap·c_rate), which IEEE rounds
+            # exactly as the loop's (cap·c_rate)·taper
+            mul(rows_at, rows_dc, rows_at)
             mn(rows_pd, rows_ha, out=rows_ha)  # min(p_lim, head) ; min(d_lim, avail)
             mn(rp_rows[i], head, out=p_charge)
             mn(rn_rows[i], avail, out=p_discharge)
-            sub(p_charge, p_discharge, acc_rows[i])
             mul(p_charge, etac_f, head)  # stored gain (η_c·P_c)·dt
             if unit_dt:
                 div(p_discharge, etad_f, avail)  # stored loss (P_d·dt)/η_d
             else:
-                mul(head, dt_h, head)
-                mul(p_discharge, dt_h, avail)
+                mul(head, dt_f, head)
+                mul(p_discharge, dt_f, avail)
                 div(avail, etad_f, avail)
-            add(energy, head, energy)
-            sub(energy, avail, energy)
-            mx(energy, 0.0, out=energy)
-            mn(energy, e_max, out=energy)
+            add(energy, head, e_tmp)
+            sub(e_tmp, avail, e_tmp2)
+            mx(e_tmp2, zero_f, out=e_tmp)
+            mn(e_tmp, e_max, out=e_next)
             if soc_rows is not None:
-                div(energy, safe_f, soc_rows[t0 + i + 1])
+                div(e_next, safe_f, soc_rows[t0 + i + 1])
 
         # --- epilogue: grid split, costs, emissions, islanding -----------
-        acc_b = accepted[:b]
         export_c = contrib[1, 1 : b + 1]
         deficit_c = contrib[4 if islanded else 0, 1 : b + 1]
         cost_c = contrib[6, 1 : b + 1]
         isl_c = contrib[7, 1 : b + 1]
-        res_b = residual[:b]
-        sub(net[:b], acc_b, res_b)
+        res_b = net[:b]
+        sub(contrib[2, 1 : b + 1], contrib[3, 1 : b + 1], export_c)  # accepted power
+        sub(res_b, export_c, res_b)
         mx(res_b, 0.0, out=export_c)  # export power
         sub(export_c, res_b, deficit_c)  # import/unserved power (= max(−res, 0))
         if not unit_dt:
@@ -549,8 +598,10 @@ def run_dispatch_segments(
             sub(cost_c, export_kwh, cost_c)
         np.less_equal(deficit_c, eps_wh, out=isl_c)
 
-        contrib[:, 0] = totals
-        np.add.reduce(contrib[:, : b + 1], axis=1, out=totals)
+        for g0 in range(0, b, _FOLD_STEPS):
+            g1 = min(g0 + _FOLD_STEPS, b)
+            contrib[:, g0] = totals
+            np.add.reduce(contrib[:, g0 : g1 + 1], axis=1, out=totals)
 
     out = totals.astype(np.float64)  # exact for f64; exact widening for f32
     soc = None
