@@ -895,7 +895,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=0.5,
         metavar="SECONDS",
-        help="sleep between empty lease polls",
+        help="seconds per empty lease poll; the coordinator holds each "
+        "poll this long for work",
     )
     p_worker.add_argument(
         "--lease-limit",

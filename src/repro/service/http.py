@@ -43,6 +43,10 @@ from .service import (
     spec_from_document,
 )
 
+#: longest long poll ``POST /lease`` holds a request thread for, in
+#: seconds, whatever ``wait_s`` the worker asks
+MAX_LEASE_WAIT_S = 10.0
+
 #: the service API, as data: ``(method, path template, handler name)``.
 #: ``{name}`` segments capture into handler kwargs.  Dispatch iterates
 #: this table, and the docs-consistency suite pins the README endpoint
@@ -134,6 +138,8 @@ class StudyServiceHandler(BaseHTTPRequestHandler):
             self._error(404, str(exc))
         except StudyConflictError as exc:
             self._error(409, str(exc))
+        except ConnectionError:
+            pass  # the client hung up (a worker stopped mid long poll)
         except (ServiceError, ValueError) as exc:
             self._error(400, str(exc))
         except Exception as exc:  # noqa: BLE001 - HTTP boundary: report, don't crash the server thread
@@ -174,9 +180,17 @@ class StudyServiceHandler(BaseHTTPRequestHandler):
         worker = document.get("worker")
         if not worker:
             raise ServiceError("POST /lease needs a 'worker' id")
+        try:
+            wait_s = float(document.get("wait_s", 0.0))
+        except (TypeError, ValueError):
+            raise ServiceError("'wait_s' must be a number of seconds") from None
         self._json(
             200,
-            self.service.lease_work(str(worker), int(document.get("limit", 1))),
+            self.service.lease_work(
+                str(worker),
+                int(document.get("limit", 1)),
+                wait_s=min(max(wait_s, 0.0), MAX_LEASE_WAIT_S),
+            ),
         )
 
     def _route_results(self, name: str) -> None:

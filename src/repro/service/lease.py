@@ -177,6 +177,9 @@ class LeasedWorkQueue:
     ) -> None:
         self.leases = LeaseTable(ttl=ttl, clock=clock)
         self._clock = clock
+        #: called after each submission, outside the lock, so long-polling
+        #: lease calls wake up; ``StudyService.register_work_queue`` sets it
+        self.on_ready: "Callable[[], None] | None" = None
         self._lock = threading.Lock()
         self._items: "dict[str, _WorkItem]" = {}
         self._queue: "deque[str]" = deque()
@@ -200,7 +203,9 @@ class LeasedWorkQueue:
             item = _WorkItem(key, kind, dict(params), members, Future())
             self._items[key] = item
             self._queue.append(key)
-            return item.future
+        if self.on_ready is not None:
+            self.on_ready()
+        return item.future
 
     def submit_trial(self, params: "dict[str, Any]") -> "Future[Any]":
         return self._submit("trial", params)

@@ -6,7 +6,10 @@ loops:
 
 1. ``POST /lease`` — ask any live coordinator for a candidate batch.
    The grant names the study, the lease TTL, and the work items
-   (params-only; the worker brings its own objective).
+   (params-only; the worker brings its own objective).  The request is
+   a long poll: the coordinator holds it up to ``poll_s`` until a
+   candidate is queued, so a drained queue costs the worker no more
+   than the coordinator's own delay.
 2. On the first grant from a study, ``GET /studies/{name}/spec`` and
    rebuild the *exact* objective the coordinator would have evaluated
    locally (``StudySpec.from_metadata(...).build_objective()``) — same
@@ -40,7 +43,8 @@ from typing import Any, Callable, Mapping
 
 from ..exceptions import OptimizationError
 
-#: seconds a worker sleeps between empty lease polls
+#: seconds between empty lease polls: the coordinator holds each poll
+#: this long for work, and the worker sleeps whatever it did not hold
 DEFAULT_POLL_S = 0.5
 
 
@@ -105,7 +109,9 @@ class RemoteWorkerClient:
 
     def _lease(self) -> "dict[str, Any]":
         return self._request(
-            "POST", "/lease", {"worker": self.worker_id, "limit": self.lease_limit}
+            "POST",
+            "/lease",
+            {"worker": self.worker_id, "limit": self.lease_limit, "wait_s": self.poll_s},
         )
 
     def _result(self, study: str, result: "dict[str, Any]") -> "dict[str, Any]":
@@ -175,6 +181,7 @@ class RemoteWorkerClient:
         while not (stop_event is not None and stop_event.is_set()):
             if max_items is not None and evaluated >= max_items:
                 break
+            polled = time.monotonic()
             try:
                 grant = self._lease()
             except (urllib.error.URLError, socket.timeout, ConnectionError, OSError):
@@ -185,7 +192,8 @@ class RemoteWorkerClient:
                 idle += 1
                 if max_idle is not None and idle >= max_idle:
                     break
-                time.sleep(self.poll_s)
+                # One poll per poll_s: a long poll has already waited.
+                time.sleep(max(0.0, self.poll_s - (time.monotonic() - polled)))
                 continue
             idle = 0
             for item in items:

@@ -361,6 +361,10 @@ class StudyService:
         #: study name → live LeasedWorkQueue while this process hosts
         #: that study's coordinator (the remote-dispatch run_study path)
         self._work_queues: "dict[str, Any]" = {}
+        #: signalled (with ``_work_submissions`` bumped) whenever a live
+        #: queue takes a submission; long-polling leases wait on it
+        self._work_ready = threading.Condition(self._work_lock)
+        self._work_submissions = 0
 
     # -- lookups -------------------------------------------------------------
 
@@ -470,9 +474,17 @@ class StudyService:
     # -- trial-level work (the coordinator's remote dispatch) ------------------
 
     def register_work_queue(self, name: str, queue: Any) -> None:
-        """Expose a coordinator's live work queue to the lease verbs."""
+        """Expose a coordinator's live work queue to the lease verbs; its
+        submissions wake long-polling :meth:`lease_work` calls."""
+        queue.on_ready = self.notify_work
         with self._work_lock:
             self._work_queues[name] = queue
+
+    def notify_work(self) -> None:
+        """Wake every ``lease_work`` call waiting for a submission."""
+        with self._work_ready:
+            self._work_submissions += 1
+            self._work_ready.notify_all()
 
     def unregister_work_queue(self, name: str) -> None:
         with self._work_lock:
@@ -490,20 +502,34 @@ class StudyService:
         StudySpec.from_metadata(stored.metadata, source=self.storage_spec)
         return {"name": name, "metadata": dict(stored.metadata)}
 
-    def lease_work(self, worker_id: str, limit: int = 1) -> dict[str, Any]:
+    def lease_work(
+        self, worker_id: str, limit: int = 1, wait_s: float = 0.0
+    ) -> dict[str, Any]:
         """Grant up to ``limit`` candidate evaluations to a remote worker.
 
         Scans every live coordinator queue (oldest registration first)
         and returns the first non-empty grant; ``study`` is ``None``
         when nothing is dispatchable — the worker's signal to idle-poll.
+        With ``wait_s`` > 0 an empty scan waits up to that many seconds
+        for a submission and scans again (a long poll), so a worker that
+        drains the queue gets the next candidate as soon as the
+        coordinator asks it, not a poll interval later.
         """
-        with self._work_lock:
-            queues = list(self._work_queues.items())
-        for name, queue in queues:
-            items = queue.lease(str(worker_id), limit)
-            if items:
-                return {"study": name, "ttl_s": queue.ttl, "items": items}
-        return {"study": None, "ttl_s": None, "items": []}
+        deadline = time.monotonic() + max(0.0, float(wait_s))
+        while True:
+            with self._work_lock:
+                seen = self._work_submissions
+                queues = list(self._work_queues.items())
+            for name, queue in queues:
+                items = queue.lease(str(worker_id), limit)
+                if items:
+                    return {"study": name, "ttl_s": queue.ttl, "items": items}
+            with self._work_ready:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    return {"study": None, "ttl_s": None, "items": []}
+                if self._work_submissions == seen:
+                    self._work_ready.wait(remaining)
 
     def complete_work(
         self, name: str, worker_id: str, results: "list[Mapping[str, Any]]"

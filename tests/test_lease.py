@@ -87,6 +87,15 @@ class TestLeasedWorkQueue:
         tag, payload, _ = future.result(timeout=1)
         assert (tag, payload) == ("ok", ((1.0, 2.0), (3.0, 4.0)))
 
+    def test_each_submission_calls_on_ready(self):
+        calls = []
+        queue = LeasedWorkQueue(ttl=10.0, clock=FakeClock())
+        queue.on_ready = lambda: calls.append(len(queue.lease("w1")))
+        queue.submit_trial({"x": 1})
+        queue.submit_rung({"x": 2}, (0,))
+        # Called after the item is queued (and outside the queue's lock).
+        assert calls == [1, 1]
+
     def test_lease_respects_limit_and_fifo_order(self):
         queue = LeasedWorkQueue(ttl=10.0, clock=FakeClock())
         for i in range(3):

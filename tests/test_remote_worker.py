@@ -17,10 +17,13 @@ The distributed half of the pipelined dispatcher, end to end:
 import json
 import os
 import signal
+import socket
+import struct
 import subprocess
 import sys
 import textwrap
 import threading
+import time
 import urllib.error
 import urllib.request
 from pathlib import Path
@@ -29,8 +32,9 @@ import pytest
 
 from repro.cli import main
 from repro.core.study_spec import StudySpec
-from repro.service import RemoteWorkerClient, StudyService, front_csv
+from repro.service import RemoteWorkerClient, StudyService, front_csv, remote_worker
 from repro.service.http import make_server
+from repro.service.lease import LeasedWorkQueue
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -120,6 +124,133 @@ class TestLeaseProtocolOverHttp:
         finally:
             server.shutdown()
             server.server_close()
+
+
+def _coordinated(service, name="s1"):
+    """A live work queue registered with ``service``, as run_study makes."""
+    queue = LeasedWorkQueue(ttl=10.0)
+    service.register_work_queue(name, queue)
+    assert queue.on_ready == service.notify_work
+    return queue
+
+
+class _FakeTime:
+    """Stands in for the worker module's ``time``: sleeping advances it."""
+
+    def __init__(self) -> None:
+        self.now = 0.0
+        self.sleeps = []
+
+    def monotonic(self) -> float:
+        return self.now
+
+    def sleep(self, seconds: float) -> None:
+        self.sleeps.append(seconds)
+        self.now += seconds
+
+
+class TestLongPoll:
+    """``POST /lease`` waits for work instead of the worker sleeping."""
+
+    def test_work_queued_during_the_wait_is_granted_at_once(self):
+        service = StudyService("memory://")
+        queue = _coordinated(service)
+        submitter = threading.Timer(0.2, queue.submit_trial, args=({"x": 1},))
+        submitter.start()
+        started = time.monotonic()
+        grant = service.lease_work("w1", wait_s=30.0)
+        elapsed = time.monotonic() - started
+        submitter.join()
+        assert grant["study"] == "s1"
+        assert [item["params"] for item in grant["items"]] == [{"x": 1}]
+        assert elapsed < 15.0  # woken by the submission, not the deadline
+
+    def test_an_empty_long_poll_returns_after_its_wait(self):
+        service = StudyService("memory://")
+        _coordinated(service)
+        started = time.monotonic()
+        assert service.lease_work("w1", wait_s=0.2)["items"] == []
+        assert time.monotonic() - started >= 0.2
+        started = time.monotonic()
+        assert service.lease_work("w1")["items"] == []  # no wait_s: no wait
+        assert time.monotonic() - started < 0.2
+
+    def test_long_poll_over_http(self):
+        service = StudyService("memory://")
+        queue = _coordinated(service)
+        server, base = _serve(service)
+        submitter = threading.Timer(0.2, queue.submit_trial, args=({"x": 2},))
+        try:
+            submitter.start()
+            status, grant = _http(
+                f"{base}/lease", method="POST", payload={"worker": "w1", "wait_s": 5.0}
+            )
+            assert status == 200 and grant["items"][0]["params"] == {"x": 2}
+            with pytest.raises(urllib.error.HTTPError) as err:
+                _http(
+                    f"{base}/lease",
+                    method="POST",
+                    payload={"worker": "w1", "wait_s": "soon"},
+                )
+            assert err.value.code == 400
+            started = time.monotonic()
+            status, grant = _http(
+                f"{base}/lease", method="POST", payload={"worker": "w1", "wait_s": -5}
+            )
+            assert grant["items"] == [] and time.monotonic() - started < 5.0
+        finally:
+            submitter.join()
+            server.shutdown()
+            server.server_close()
+
+    def test_a_worker_hanging_up_mid_poll_is_not_a_server_error(self, capsys):
+        service = StudyService("memory://")
+        _coordinated(service)
+        server, base = _serve(service)
+        body = json.dumps({"worker": "w1", "wait_s": 0.3}).encode()
+        head = (
+            "POST /lease HTTP/1.1\r\nHost: test\r\n"
+            "Content-Type: application/json\r\n"
+            f"Content-Length: {len(body)}\r\n\r\n"
+        )
+        try:
+            with socket.create_connection(server.server_address[:2]) as sock:
+                sock.sendall(head.encode() + body)
+                time.sleep(0.1)  # the server is now holding the poll
+                # Close with a reset, as a killed worker process does.
+                sock.setsockopt(
+                    socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+                )
+            time.sleep(0.6)  # the poll expires and its answer hits the reset
+            status, _ = _http(f"{base}/lease", method="POST", payload={"worker": "w2"})
+            assert status == 200
+        finally:
+            server.shutdown()
+            server.server_close()
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_worker_asks_for_its_poll_interval(self, monkeypatch):
+        client = RemoteWorkerClient("http://127.0.0.1:1", "w1", poll_s=0.25)
+        sent = []
+        monkeypatch.setattr(
+            client, "_request", lambda method, path, payload=None: sent.append(payload) or {}
+        )
+        client._lease()
+        assert sent == [{"worker": "w1", "limit": 1, "wait_s": 0.25}]
+
+    def test_worker_sleeps_only_what_the_poll_did_not_hold(self, monkeypatch):
+        fake = _FakeTime()
+        monkeypatch.setattr(remote_worker, "time", fake)
+        client = RemoteWorkerClient("http://127.0.0.1:1", "w1", poll_s=0.5)
+        held = iter([0.5, 0.2, 0.0, 0.0])
+
+        def lease():
+            fake.now += next(held)
+            return {"study": None, "items": []}
+
+        monkeypatch.setattr(client, "_lease", lease)
+        assert client.run(max_idle=4) == 0
+        assert fake.sleeps == [0.0, pytest.approx(0.3), 0.5]
 
 
 class TestRemoteParity:
