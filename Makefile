@@ -18,13 +18,16 @@ bench:
 
 # Mirror of the blocking CI job (.github/workflows/ci.yml), verbatim:
 # tier-1 gate + tier-2 and bench collection sanity (imports and markers
-# stay valid without paying their wall-clock).
+# stay valid without paying their wall-clock).  That job installs only
+# numpy and pytest; where scipy is installed, tests/test_special.py also
+# runs its scipy oracle for the wind Φ/Γ ports, as CI's njit leg does.
 ci:
 	PYTHONPATH=src python -m pytest -x -q
 	PYTHONPATH=src python -m pytest -q tests/test_driver_contract.py tests/test_pipeline.py tests/test_sampler_protocol.py
 	PYTHONPATH=src python -m pytest -q tests/test_fidelity_differential.py
 	PYTHONPATH=src python -m pytest -q tests/test_study_spec.py tests/test_service.py
 	PYTHONPATH=src python -m pytest -q tests/test_lease.py tests/test_remote_worker.py
+	PYTHONPATH=src python -m pytest -q tests/test_special.py
 	PYTHONPATH=src python -m pytest -m tier2 --collect-only -q
 	PYTHONPATH=src python -m pytest benchmarks/ --collect-only -q
 

@@ -10,13 +10,15 @@ this module synthesizes a replacement calibrated to each site's
   standard-normal AR process with the climate's persistence time is mapped
   through Φ → Weibull-quantile, preserving both the marginal distribution
   and realistic autocorrelation (the standard synthetic-wind construction,
-  e.g. Brokish & Kirtley 2009);
+  e.g. Brokish & Kirtley 2009).  Φ and the Γ(1 + 1/k) of the Weibull mean
+  come from :mod:`repro.data._special`, bitwise ports of cephes ``ndtr``
+  and ``Gamma`` (the routines scipy wraps), so the runtime needs numpy only;
 * deterministic **diurnal** (sea-breeze afternoon peak) and **seasonal**
   (windy spring) modulations are layered multiplicatively and the series
   rescaled so the annual mean stays calibrated.
 
 Vectorized except the inherently sequential AR recursion, which runs once
-per site per year (8 760 scalar steps — negligible against simulation).
+per site per year (8 760 Python-float steps — negligible against simulation).
 """
 
 from __future__ import annotations
@@ -24,12 +26,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special, stats
 
 from ..exceptions import ConfigurationError
 from ..rng import generator_for
 from ..timeseries import hourly_times_s
 from ..units import SECONDS_PER_HOUR
+from . import _special
 from .locations import Location
 from .weather_events import apply_events, dunkelflaute_events
 
@@ -62,22 +64,27 @@ class WindResource:
 
 
 def weibull_scale_for_mean(mean_speed: float, k: float) -> float:
-    """Weibull λ so that E[V] = λ·Γ(1 + 1/k) equals the target mean."""
+    """Weibull λ so that E[V] = λ·Γ(1 + 1/k) equals the target mean.
+
+    Γ is ported for 1 + 1/k ≤ 3 only, so k < 0.5 raises
+    :class:`ConfigurationError` (``WindClimate`` admits k ∈ [1, 4]).
+    """
     if mean_speed <= 0 or k <= 0:
         raise ConfigurationError("mean speed and shape must be positive")
-    return mean_speed / special.gamma(1.0 + 1.0 / k)
+    return mean_speed / _special.gamma(1.0 + 1.0 / k)
 
 
 def _ar1_latent(n: int, persistence_hours: float, rng: np.random.Generator) -> np.ndarray:
     """Standard-normal AR(1) with e-folding time ``persistence_hours``."""
     rho = float(np.exp(-1.0 / max(persistence_hours, 1e-6)))
-    innovations = rng.standard_normal(n)
-    z = np.empty(n)
-    z[0] = innovations[0]
-    scale = np.sqrt(1.0 - rho**2)
+    scale = float(np.sqrt(1.0 - rho**2))
+    # The recursion runs on Python floats: indexing numpy scalars per step
+    # costs more than twice as much, and the doubles are the same.
+    z = rng.standard_normal(n).tolist()
+    prev = z[0]
     for i in range(1, n):
-        z[i] = rho * z[i - 1] + scale * innovations[i]
-    return z
+        prev = z[i] = rho * prev + scale * z[i]
+    return np.array(z)
 
 
 def synthesize_wind_resource(
@@ -104,7 +111,7 @@ def synthesize_wind_resource(
 
     # Gaussian copula: latent AR(1) → uniform → Weibull quantile.
     z = _ar1_latent(n_hours, clim.persistence_hours, rng)
-    u = stats.norm.cdf(z)
+    u = _special.ndtr(z)
     u = np.clip(u, 1e-6, 1.0 - 1e-6)
     lam = weibull_scale_for_mean(clim.mean_speed_ms, clim.weibull_k)
     base_speed = lam * (-np.log1p(-u)) ** (1.0 / clim.weibull_k)
