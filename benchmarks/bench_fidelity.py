@@ -18,7 +18,7 @@ must
   bench`` pass.  The in-process dispatch kernel costs the same at
   every fidelity level, so the ladder's wall-clock is a wash *here*;
   the saved full-physics evals are the win wherever the ladder-top
-  rung is the expensive one (launcher-fanned slices, co-simulation).
+  rung is the expensive one (e.g. co-simulation).
 
 Machine-readable headlines land in ``benchmarks/output/BENCH_fidelity.json``
 for ``check_regression.py``; the headline number is

@@ -44,7 +44,6 @@ from repro.blackbox.distributions import FloatDistribution
 from repro.blackbox.parallel import PipelinedDispatcher, materialize_params
 from repro.blackbox.samplers.random import RandomSampler
 from repro.blackbox.study import Study
-from repro.confsys.launcher import chunk_evenly
 
 WORKERS = 4
 BATCH = 16
@@ -83,6 +82,12 @@ def _study() -> Study:
 
 def _snapshot(study: Study) -> list:
     return [(t.number, dict(t.params), t.values) for t in study.trials]
+
+
+def chunk_evenly(items: list, n_chunks: int) -> "list[list]":
+    """≤ ``n_chunks`` contiguous, order-preserving, near-equal chunks."""
+    size = -(-len(items) // n_chunks)  # ceil division
+    return [items[i : i + size] for i in range(0, len(items), size)]
 
 
 def _timed_chunk(chunk: "list[dict]") -> "list[tuple[tuple[float, float], float]]":

@@ -7,8 +7,7 @@ workflow:
 
 1. write a base YAML config and load it,
 2. apply command-line-style overrides,
-3. grid-sweep it over sites and operating strategies (parallelizable
-   through the multiprocessing launcher),
+3. grid-sweep it over sites and battery sizes, one job after another,
 4. run a black-box (NSGA-II) sweep over the composition space driven by
    the same config.
 """
@@ -22,7 +21,6 @@ from repro.confsys import (
     BlackboxSweeper,
     Config,
     GridSweeper,
-    SerialLauncher,
     apply_overrides,
     load_config,
     save_config,
@@ -72,8 +70,8 @@ def main() -> None:
         {"scenario.location": ["houston", "berkeley"], "composition.battery_units": [0, 4]},
     )
     print(f"\ngrid sweep: {len(sweeper)} jobs")
-    for row in SerialLauncher().launch(evaluate_job, sweeper.jobs()):
-        print("  ", row)
+    for job in sweeper.jobs():
+        print("  ", evaluate_job(job))
 
     # 4. Black-box sweep: NSGA-II proposes composition configs.
     scenario = build_scenario("houston")

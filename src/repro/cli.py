@@ -12,7 +12,7 @@ Usage (also ``python -m repro.cli``)::
 Persistent, resumable, parallel studies (DESIGN.md §3–§4)::
 
     python -m repro.cli study run    --journal study.jsonl --site houston \
-        --trials 350 --population 50 --seed 42 --workers 4
+        --trials 350 --population 50 --seed 42
     python -m repro.cli study resume --journal study.jsonl
     python -m repro.cli study status --journal study.jsonl
 
@@ -347,6 +347,8 @@ def cmd_study_run(cfg: Config, args) -> int:
         return 1
     try:
         result = study_spec.execute(storage, name, workers=args.workers)
+    except OptimizationError as exc:
+        raise SystemExit(str(exc)) from None
     except KeyboardInterrupt:
         return _interrupted(spec)
     _print_search_summary(result, spec, name)
@@ -402,6 +404,8 @@ def cmd_study_resume(cfg: Config, args) -> int:
         result = study_spec.execute(
             storage, name, workers=args.workers, load_if_exists=True
         )
+    except OptimizationError as exc:
+        raise SystemExit(str(exc)) from None
     except KeyboardInterrupt:
         return _interrupted(spec)
     _print_search_summary(result, spec, name)
@@ -731,7 +735,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--trials", type=int, default=350)
     p_run.add_argument("--population", type=int, default=50)
     p_run.add_argument("--seed", type=int, default=42)
-    p_run.add_argument("--workers", type=int, default=1, help="evaluation worker processes")
+    p_run.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="size of the --pipeline process pool (default 1; the "
+        "batched driver runs in-process)",
+    )
     p_run.add_argument(
         "--shards",
         type=int,
@@ -814,7 +824,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_res = store_args(ssub.add_parser("resume", help="resume an interrupted persisted study"))
     p_res.add_argument("--name", default=None, help="study name (needed if the store holds several)")
     p_res.add_argument("--trials", type=int, default=None, help="override the persisted trial target")
-    p_res.add_argument("--workers", type=int, default=1)
+    p_res.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="size of the --pipeline process pool for a pipelined study "
+        "(default 1; a batched study runs in-process)",
+    )
     p_res.add_argument(
         "--engine",
         default=None,

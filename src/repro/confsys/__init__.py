@@ -9,15 +9,16 @@ files and can parallelize the search across a cluster of compute nodes"
   composition (defaults + overrides) and ``key=value`` override parsing;
 * :mod:`repro.confsys.yaml_io` — YAML load/dump round-tripping;
 * :mod:`repro.confsys.sweeper` — grid and black-box sweepers expanding a
-  config into jobs;
-* :mod:`repro.confsys.launcher` — serial and multiprocessing job
-  launchers.
+  config into jobs.
+
+Spreading the search over processes or nodes is not this package's job:
+the pipelined dispatcher's executors (:mod:`repro.blackbox.parallel`,
+DESIGN.md §4) are the repo's one worker pool.
 """
 
 from .config import Config, apply_overrides, compose, parse_override
 from .yaml_io import load_yaml, dump_yaml, load_config, save_config
 from .sweeper import BlackboxSweeper, GridSweeper, SweepJob
-from .launcher import MultiprocessingLauncher, SerialLauncher
 
 __all__ = [
     "Config",
@@ -31,6 +32,4 @@ __all__ = [
     "GridSweeper",
     "BlackboxSweeper",
     "SweepJob",
-    "SerialLauncher",
-    "MultiprocessingLauncher",
 ]

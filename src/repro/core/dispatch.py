@@ -65,7 +65,7 @@ class VectorizedPolicy(ABC):
     Implementations are pure functions of the step inputs (no internal
     state between steps — all state lives in the engine's SoC tensor),
     which is what makes them trivially batchable and picklable for the
-    parallel launchers (DESIGN.md §4).
+    pipelined dispatcher's process pool (DESIGN.md §4).
     """
 
     #: islanded policies route residual deficits to *unserved* demand

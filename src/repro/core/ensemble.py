@@ -22,9 +22,8 @@ An :class:`EnsembleSpec` crosses them into a named, seeded member list;
 :func:`build_ensemble` materializes the members as
 :class:`~repro.core.scenario.Scenario` objects — computing the
 expensive per-unit profiles for *unique* (site, year, severity) keys
-only, optionally in parallel through a ``confsys`` launcher, and
-sharing them across all members via the scenario layer's unit-profile
-cache.  The members then flow as one stacked S × N tensor through
+only and sharing them across all members via the scenario layer's
+unit-profile cache.  The members then flow as one stacked S × N tensor through
 :func:`repro.core.fastsim.evaluate_across_scenarios`, and the risk
 reducers of :mod:`repro.core.metrics` (``worst`` / ``mean`` /
 ``cvar:alpha`` / ``quantile:q``) turn the per-member outcomes into the
@@ -58,14 +57,7 @@ from .composition import MicrogridComposition
 from .dispatch import VectorizedPolicy
 from .fastsim import evaluate_across_scenarios
 from .metrics import RobustEvaluatedComposition, parse_aggregate, robust_evaluations
-from .scenario import (
-    Scenario,
-    UnitProfiles,
-    build_scenario,
-    has_unit_profiles,
-    prime_unit_profile_cache,
-    unit_profiles,
-)
+from .scenario import Scenario, build_scenario
 
 __all__ = [
     "EnsembleMember",
@@ -292,47 +284,15 @@ def member_subset(n_members: int, size: int, seed: int = 0) -> tuple[int, ...]:
     return tuple(sorted(member_permutation(n_members, seed)[:size]))
 
 
-def _unit_profile_key(member: EnsembleMember, spec: EnsembleSpec) -> tuple:
-    """Cache key of the member's weather-determined half (DESIGN.md §6)."""
-    loc = get_location(member.site)
-    return (loc.name, member.year_label, spec.n_hours, True, float(member.event_severity))
-
-
-def _compute_unit_profiles(key: tuple) -> "tuple[tuple, UnitProfiles]":
-    """Worker-side per-unit-profile synthesis (picklable launcher job)."""
-    site, year_label, n_hours, include_extreme_events, event_severity = key
-    profiles = unit_profiles(
-        site,
-        year_label=year_label,
-        n_hours=n_hours,
-        include_extreme_events=include_extreme_events,
-        event_severity=event_severity,
-        use_cache=False,
-    )
-    return key, profiles
-
-
-def build_ensemble(
-    spec: EnsembleSpec, launcher: Any | None = None
-) -> list[Scenario]:
+def build_ensemble(spec: EnsembleSpec) -> list[Scenario]:
     """Materialize the ensemble's members as scenarios, in member order.
 
     The expensive half of scenario construction — resource synthesis and
     the two SAM model runs — is computed once per *unique* (site, year,
     severity) key and shared across all members through the scenario
-    layer's unit-profile cache; with ``launcher`` set (e.g.
-    ``MultiprocessingLauncher(4)``) the missing keys are synthesized in
-    parallel worker processes and the cache is primed with the results
-    (DESIGN.md §6).  Member assembly (workload, carbon, tariff) is cheap
-    and stays in-process.
+    layer's unit-profile cache (DESIGN.md §6); member assembly
+    (workload, carbon, tariff) is cheap.
     """
-    members = spec.members()
-    if launcher is not None:
-        unique_keys = dict.fromkeys(_unit_profile_key(m, spec) for m in members)
-        missing = [k for k in unique_keys if not has_unit_profiles(k)]
-        if missing:
-            computed = launcher.launch(_compute_unit_profiles, missing)
-            prime_unit_profile_cache(dict(computed))
     return [
         build_scenario(
             member.site,
@@ -344,7 +304,7 @@ def build_ensemble(
             tariff_variant=member.tariff_variant,
             name=member.name(),
         )
-        for member in members
+        for member in spec.members()
     ]
 
 
@@ -353,7 +313,6 @@ def evaluate_ensemble(
     compositions: Sequence[MicrogridComposition],
     aggregate: str = "worst",
     policy: VectorizedPolicy | None = None,
-    launcher: Any | None = None,
 ) -> list[RobustEvaluatedComposition]:
     """Score compositions against a whole ensemble in one stacked loop.
 
@@ -364,10 +323,6 @@ def evaluate_ensemble(
     (``benchmarks/bench_ensemble.py`` asserts this).
     """
     parse_aggregate(aggregate)
-    scenarios = (
-        build_ensemble(spec, launcher=launcher)
-        if isinstance(spec, EnsembleSpec)
-        else list(spec)
-    )
+    scenarios = build_ensemble(spec) if isinstance(spec, EnsembleSpec) else list(spec)
     per_scenario = evaluate_across_scenarios(scenarios, list(compositions), policy=policy)
     return robust_evaluations(per_scenario, aggregate)

@@ -56,7 +56,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -493,12 +493,8 @@ class FidelityRacingEvaluator:
     objectives); call :meth:`race` per candidate batch.  The sibling
     stacks, the shared member-difficulty order (probed at the cheapest
     level), and the calibrated envelopes are all built lazily on the
-    first race and charged to its stats.
-
-    ``slice_factory`` maps a scenario stack to a
-    :data:`~repro.core.racing.SliceEvaluator` — drivers substitute a
-    launcher-backed implementation per fidelity level; the default runs
-    the in-process stacked tensor loop.
+    first race and charged to its stats.  Every level evaluates through
+    the in-process stacked tensor loop under ``engine``.
     """
 
     def __init__(
@@ -510,7 +506,6 @@ class FidelityRacingEvaluator:
         objectives: Sequence[str] = ("operational", "embodied"),
         policy: "VectorizedPolicy | None" = None,
         engine: str = "auto",
-        slice_factory: "Callable[[list[Scenario]], SliceEvaluator] | None" = None,
         probes: "Sequence[MicrogridComposition]" = CALIBRATION_PROBES,
     ) -> None:
         self.base = list(scenarios)
@@ -523,7 +518,6 @@ class FidelityRacingEvaluator:
         self.objectives = tuple(objectives)
         self.policy = policy
         self.engine = engine
-        self._slice_factory = slice_factory or self._default_factory
         self._probes = list(probes)
         self.sizes = self.schedule.resolve(len(self.base))
         self._stacks: "dict[str, list[Scenario]] | None" = None
@@ -536,7 +530,7 @@ class FidelityRacingEvaluator:
         self._pending_full = 0
         self._pending_cheap = 0
 
-    def _default_factory(self, stack: "list[Scenario]") -> SliceEvaluator:
+    def _slice_for(self, stack: "list[Scenario]") -> SliceEvaluator:
         def _slice(member_indices, comps):
             return evaluate_member_slice(
                 stack, member_indices, comps, policy=self.policy, engine=self.engine
@@ -559,7 +553,7 @@ class FidelityRacingEvaluator:
             name: sibling_stack(self.base, name) for name in self.ladder.levels
         }
         self._slices = {
-            name: self._slice_factory(stack) for name, stack in self._stacks.items()
+            name: self._slice_for(stack) for name, stack in self._stacks.items()
         }
         n = len(self.base)
         order: "list[int] | None" = None
@@ -831,7 +825,6 @@ def fidelity_race_front(
     objectives: Sequence[str] = ("operational", "embodied"),
     policy: "VectorizedPolicy | None" = None,
     engine: str = "auto",
-    slice_factory: "Callable[[list[Scenario]], SliceEvaluator] | None" = None,
 ) -> "tuple[list[RobustEvaluatedComposition], RaceOutcome]":
     """Exact ladder-top Pareto front via fidelity-laddered racing.
 
@@ -850,7 +843,6 @@ def fidelity_race_front(
         objectives=objectives,
         policy=policy,
         engine=engine,
-        slice_factory=slice_factory,
     )
     outcome = evaluator.race(compositions)
     front = pareto_front(list(outcome.evaluated.values()), objectives)

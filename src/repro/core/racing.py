@@ -415,7 +415,7 @@ class RaceOutcome:
 #: ``evaluate_slice(member_indices, comps) -> result[j][i]`` pairing
 #: slice position ``j`` with candidate ``i`` — the signature of
 #: :func:`repro.core.fastsim.evaluate_member_slice` with the scenario
-#: list bound; drivers substitute a launcher-backed implementation.
+#: list bound; tests substitute a fake to observe or steer rung calls.
 SliceEvaluator = Callable[
     [Sequence[int], "list[MicrogridComposition]"],
     "list[list[EvaluatedComposition]]",
@@ -441,9 +441,8 @@ class RacingEvaluator:
 
     One instance per (ensemble, schedule, aggregate, objectives); call
     :meth:`race` per candidate batch (e.g. one NSGA-II generation).
-    ``evaluate_slice`` defaults to the in-process stacked tensor loop;
-    the study drivers pass a launcher-backed version to fan rung
-    evaluation across worker processes (DESIGN.md §8).
+    ``evaluate_slice`` defaults to the in-process stacked tensor loop
+    under ``engine`` (DESIGN.md §8); tests substitute a fake one.
     """
 
     def __init__(
@@ -466,7 +465,7 @@ class RacingEvaluator:
         self.objectives = tuple(objectives)
         self.policy = policy
         #: dispatch engine for the default in-process slice evaluator
-        #: (DESIGN.md §9; launcher-backed evaluators carry their own)
+        #: (DESIGN.md §9; a substituted evaluator carries its own)
         self.engine = engine
         self._evaluate_slice = evaluate_slice or self._default_slice
         self.sizes = self.schedule.resolve(len(self.scenarios))

@@ -129,9 +129,9 @@ def unit_profiles(
 ) -> UnitProfiles:
     """Build (or fetch from cache) a site-year's per-unit profiles.
 
-    This is the expensive part of :func:`build_scenario`; the ensemble
-    builder (:mod:`repro.core.ensemble`) precomputes missing entries in
-    parallel via the ``confsys`` launchers and primes this cache.
+    This is the expensive part of :func:`build_scenario`; ensemble
+    members (:mod:`repro.core.ensemble`) that differ only in cheap axes
+    share one cache entry.
     """
     loc = get_location(location) if isinstance(location, str) else location
     key = (loc.name, year_label, n_hours, include_extreme_events, float(event_severity))
@@ -163,18 +163,6 @@ def unit_profiles(
     if use_cache:
         _UNIT_PROFILE_CACHE[key] = profiles
     return profiles
-
-
-def prime_unit_profile_cache(
-    entries: "dict[tuple, UnitProfiles]",
-) -> None:
-    """Insert precomputed profiles (the parallel ensemble-build seam)."""
-    _UNIT_PROFILE_CACHE.update(entries)
-
-
-def has_unit_profiles(key: tuple) -> bool:
-    """Whether a unit-profile cache entry exists (ensemble build planning)."""
-    return key in _UNIT_PROFILE_CACHE
 
 
 def build_scenario(

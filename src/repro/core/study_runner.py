@@ -20,9 +20,9 @@ Both modes compose with the persistence/parallelism subsystem
   interrupted search resumes to the *identical* Pareto front an
   uninterrupted run produces under the same seed — the CLI verbs
   ``repro study run / resume / status`` drive exactly this path;
-* pass ``launcher=MultiprocessingLauncher(n)`` to fan batch evaluation
-  out across worker processes (order-preserving, numerically identical
-  to serial).
+* call ``run_pipelined`` to stream trials through the dispatcher's
+  thread, process or remote worker pool (DESIGN.md §4, §10); the
+  batched driver itself always evaluates in-process.
 
 Multi-scenario robustness (DESIGN.md §5–§6): pass a *list* of scenarios
 (``OptimizationRunner([berkeley, houston], aggregate="worst")`` — or an
@@ -94,32 +94,6 @@ class SearchResult:
         self, objectives: Sequence[str] = ("embodied", "operational")
     ) -> "list[AnyEvaluated]":
         return pareto_front(self.evaluated, objectives)
-
-
-def _evaluate_chunk(
-    job: "tuple[tuple[Scenario, ...], VectorizedPolicy | None, str, str, list[MicrogridComposition]]",
-) -> "list[AnyEvaluated]":
-    """Worker-side batch evaluation of one composition chunk (picklable)."""
-    scenarios, policy, aggregate, engine, comps = job
-    per_scenario = evaluate_across_scenarios(scenarios, comps, policy=policy, engine=engine)
-    if len(scenarios) == 1:
-        return per_scenario[0]
-    return robust_evaluations(per_scenario, aggregate)
-
-
-def _evaluate_slice_chunk(
-    job: "tuple[tuple[Scenario, ...], VectorizedPolicy | None, str, tuple[int, ...], list[MicrogridComposition]]",
-) -> "list[list[EvaluatedComposition]]":
-    """Worker-side rung evaluation: one member slice × one comp chunk.
-
-    The racing engine's rung dispatch (DESIGN.md §8) — per-member,
-    per-candidate cells, *not* aggregated, so the parent can fill its
-    incremental member matrix.
-    """
-    scenarios, policy, engine, member_indices, comps = job
-    return evaluate_member_slice(
-        scenarios, member_indices, comps, policy=policy, engine=engine
-    )
 
 
 @dataclass
@@ -243,18 +217,16 @@ class OptimizationRunner:
     optimizes the robust ``aggregate`` (``worst``, ``mean``,
     ``cvar:alpha``, ``quantile:q``) of each objective across scenarios.
 
-    With ``launcher`` set to a
-    :class:`~repro.confsys.launcher.MultiprocessingLauncher`, batch
-    evaluation of uncached compositions is split into per-worker chunks
-    and fanned across processes; results are order-preserving and
-    numerically identical to serial (each candidate's column is
-    independent in the vectorized time loop).
+    The batched paths (:meth:`evaluate`, :meth:`run_exhaustive`,
+    :meth:`run_blackbox`) run in-process: one generation is one vector
+    call, which costs less than a spawned worker's imports.  Spreading
+    trials over processes or remote workers is :meth:`run_pipelined`'s
+    job (DESIGN.md §4).
     """
 
     scenario: "Scenario | Sequence[Scenario]"
     space: ParameterSpace = field(default_factory=lambda: PAPER_SPACE)
     objectives: tuple[str, ...] = ("operational", "embodied")
-    launcher: Any | None = None
     policy: VectorizedPolicy | None = None
     aggregate: str = "worst"
     #: dispatch engine for every batch/rung evaluation (DESIGN.md §9)
@@ -290,73 +262,17 @@ class OptimizationRunner:
         """Evaluate compositions, reusing cached results."""
         missing = [c for c in dict.fromkeys(comps) if c not in self._cache]
         if missing:
-            for res in self._evaluate_missing(missing):
+            per_scenario = evaluate_across_scenarios(
+                self.scenarios, missing, policy=self.policy, engine=self.engine
+            )
+            results = (
+                per_scenario[0]
+                if len(self.scenarios) == 1
+                else robust_evaluations(per_scenario, self.aggregate)
+            )
+            for res in results:
                 self._cache[res.composition] = res
         return [self._cache[c] for c in comps]
-
-    def _evaluate_missing(
-        self, missing: list[MicrogridComposition]
-    ) -> "list[AnyEvaluated]":
-        n_workers = getattr(self.launcher, "n_workers", 1)
-        if self.launcher is None or n_workers <= 1 or len(missing) < 2 * n_workers:
-            return _evaluate_chunk(
-                (self.scenarios, self.policy, self.aggregate, self.engine, missing)
-            )
-        from ..confsys.launcher import chunk_evenly
-
-        jobs = [
-            (self.scenarios, self.policy, self.aggregate, self.engine, chunk)
-            for chunk in chunk_evenly(missing, n_workers)
-        ]
-        results = self.launcher.launch(_evaluate_chunk, jobs)
-        return [res for chunk_result in results for res in chunk_result]
-
-    def _evaluate_slice(
-        self, member_indices: Sequence[int], comps: "list[MicrogridComposition]"
-    ) -> "list[list[EvaluatedComposition]]":
-        """Rung dispatch: evaluate one member slice, fanned over workers.
-
-        The racing engine's :data:`~repro.core.racing.SliceEvaluator`
-        bound to this runner's scenarios/policy/launcher — candidate
-        chunks go to worker processes (order-preserving, numerically
-        identical to serial, exactly like :meth:`_evaluate_missing`).
-        """
-        return self._slice_eval(self.scenarios, member_indices, comps)
-
-    def _slice_eval(
-        self,
-        scenarios: "tuple[Scenario, ...]",
-        member_indices: Sequence[int],
-        comps: "list[MicrogridComposition]",
-    ) -> "list[list[EvaluatedComposition]]":
-        indices = tuple(int(j) for j in member_indices)
-        n_workers = getattr(self.launcher, "n_workers", 1)
-        if self.launcher is None or n_workers <= 1 or len(comps) < 2 * n_workers:
-            return _evaluate_slice_chunk(
-                (scenarios, self.policy, self.engine, indices, comps)
-            )
-        from ..confsys.launcher import chunk_evenly
-
-        jobs = [
-            (scenarios, self.policy, self.engine, indices, chunk)
-            for chunk in chunk_evenly(comps, n_workers)
-        ]
-        results = self.launcher.launch(_evaluate_slice_chunk, jobs)
-        # Each worker returns [member][candidate-chunk]; re-join the
-        # candidate axis in chunk order.
-        return [
-            [cell for chunk_result in results for cell in chunk_result[j]]
-            for j in range(len(indices))
-        ]
-
-    def _fidelity_slice_factory(self, stack: "list[Scenario]"):
-        """Launcher-fanned slice evaluator bound to one fidelity stack."""
-        scenarios = tuple(stack)
-
-        def _slice(member_indices, comps):
-            return self._slice_eval(scenarios, member_indices, comps)
-
-        return _slice
 
     @property
     def n_simulations(self) -> int:
@@ -391,7 +307,7 @@ class OptimizationRunner:
         samplers (NSGA-II only consults *completed* trials when breeding),
         but ~population× faster.  The paper parallelizes the same step
         across cluster nodes through Hydra; here the batch axis is the
-        vector axis (and optionally the runner's ``launcher`` processes).
+        vector axis.
 
         **Persistence/resume** (DESIGN.md §3): with ``storage`` set every
         trial is journaled, and the sampler switches to deterministic
@@ -515,7 +431,6 @@ class OptimizationRunner:
                     objectives=self.objectives,
                     policy=self.policy,
                     engine=self.engine,
-                    slice_factory=self._fidelity_slice_factory,
                 )
             else:
                 racer = RacingEvaluator(
@@ -524,7 +439,7 @@ class OptimizationRunner:
                     aggregate=self.aggregate,
                     objectives=self.objectives,
                     policy=self.policy,
-                    evaluate_slice=self._evaluate_slice,
+                    engine=self.engine,
                 )
             racing_stats = RacingStats()
         seen: "list[AnyEvaluated]" = []
@@ -656,8 +571,8 @@ class OptimizationRunner:
         ``workers``).
 
         ``workers``/``executor`` pick the slot pool (``thread`` |
-        ``process`` | ``serial``) — per-slot futures, not the runner's
-        chunked launcher, since streaming needs slot-level completion.
+        ``process`` | ``serial``) — per-slot futures, the repo's one
+        worker pool (DESIGN.md §4).
         ``executor`` may also be an executor *object* exposing
         ``submit_trial``/``submit_rung`` (the remote seam, DESIGN.md
         §13): candidates then stream to remote workers instead of a
@@ -779,7 +694,6 @@ def run_blackbox_search(
     storage: "StudyStorage | str | None" = None,
     study_name: str | None = None,
     load_if_exists: bool = False,
-    launcher: Any | None = None,
     metadata: dict[str, Any] | None = None,
     policy: VectorizedPolicy | None = None,
     aggregate: str = "worst",
@@ -789,9 +703,8 @@ def run_blackbox_search(
 ) -> SearchResult:
     """Convenience: the paper's NSGA-II configuration.
 
-    Storage-aware and parallel-capable: ``storage``/``load_if_exists``
-    give journaled, resumable studies (DESIGN.md §3); ``launcher`` fans
-    batch evaluation across processes (DESIGN.md §4).  A scenario
+    Storage-aware: ``storage``/``load_if_exists`` give journaled,
+    resumable studies (DESIGN.md §3).  A scenario
     sequence plus ``aggregate`` gives robust multi-site search, and
     ``policy`` swaps the dispatch strategy (DESIGN.md §5).  ``racing``
     races each generation over ensemble-member subsets (DESIGN.md §8);
@@ -803,7 +716,6 @@ def run_blackbox_search(
     runner = OptimizationRunner(
         scenario,
         space=space or PAPER_SPACE,
-        launcher=launcher,
         policy=policy,
         aggregate=aggregate,
         engine=engine,

@@ -407,7 +407,7 @@ class StudySpec:
 
     # -- execution -------------------------------------------------------------
 
-    def build_scenarios(self, launcher=None):
+    def build_scenarios(self):
         """The scenario list this identity evaluates candidates against."""
         from .scenario import build_scenario
 
@@ -429,17 +429,16 @@ class StudySpec:
             n_hours=self.n_hours,
             mean_power_w=self.mean_power_mw * 1e6,
         )
-        return build_ensemble(spec, launcher=launcher)
+        return build_ensemble(spec)
 
-    def build_runner(self, launcher=None):
+    def build_runner(self):
         """The scenario stack + runner this identity evaluates through."""
         from .dispatch import make_policy
         from .study_runner import OptimizationRunner
 
-        scenarios = self.build_scenarios(launcher)
+        scenarios = self.build_scenarios()
         return OptimizationRunner(
             scenarios,
-            launcher=launcher,
             policy=make_policy(self.policy, scenarios),
             aggregate=self.aggregate,
             engine=self.engine,
@@ -475,16 +474,19 @@ class StudySpec:
         *,
         workers: int = 1,
         load_if_exists: bool = False,
-        launcher=None,
         executor=None,
     ):
         """Run (or resume) this study and return the ``SearchResult``.
 
         The one driver dispatch shared by the CLI and the service
-        worker loop: builds the launcher/scenarios/runner/sampler from
-        the spec and picks the pipelined or batched driver by whether
+        worker loop: builds the scenarios/runner/sampler from the spec
+        and picks the pipelined or batched driver by whether
         ``pipeline`` is set.  ``storage`` is a resolved backend or any
         URL spec the registry accepts.
+
+        ``workers`` sizes the pipelined driver's process pool.  It must
+        be >= 1, and > 1 only with ``pipeline`` or an ``executor``: the
+        batched driver evaluates in-process (DESIGN.md §4).
 
         ``executor`` is the remote seam: pass an executor *object* (a
         :class:`~repro.service.lease.LeasedWorkQueue`) and the
@@ -493,11 +495,14 @@ class StudySpec:
         """
         from ..blackbox.samplers.nsga2 import NSGA2Sampler
 
-        if executor is None and launcher is None and workers and workers > 1:
-            from ..confsys import MultiprocessingLauncher
-
-            launcher = MultiprocessingLauncher(n_workers=workers)
-        runner = self.build_runner(launcher)
+        if workers < 1:
+            raise OptimizationError(f"workers must be >= 1, got {workers}")
+        if workers > 1 and self.pipeline is None and executor is None:
+            raise OptimizationError(
+                f"workers={workers} needs --pipeline: the batched driver "
+                "evaluates each generation in-process"
+            )
+        runner = self.build_runner()
         sampler = NSGA2Sampler(population_size=self.population, seed=self.seed)
         name = study_name or self.default_name
         metadata = self.to_metadata()
@@ -510,7 +515,7 @@ class StudySpec:
                 load_if_exists=load_if_exists,
                 metadata=metadata,
                 racing=self.racing,
-                workers=self.remote_slots or max(workers, 1),
+                workers=self.remote_slots or workers,
                 executor=executor,
                 speculate=self.speculate or 0,
             )

@@ -206,3 +206,42 @@ class TestStudyStorageCli:
             == 0
         )
         assert "front size" in capsys.readouterr().out
+
+
+class TestWorkersValidation:
+    """Bad ``--workers`` values exit with a message, not a traceback."""
+
+    OVERRIDES = ["--set", "scenario.n_hours=720"]
+
+    def _run(self, spec, *extra):
+        return main(
+            ["study", "run", "--storage", spec, "--site", "houston",
+             "--trials", "20", "--population", "10", "--seed", "7",
+             *extra, *self.OVERRIDES]
+        )
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--pipeline", "--workers", "0"], "workers must be >= 1"),
+            (["--workers", "-2"], "workers must be >= 1"),
+            (["--workers", "2"], "--pipeline"),
+        ],
+    )
+    def test_run_rejects_bad_workers(self, tmp_path, extra, message):
+        with pytest.raises(SystemExit, match=message):
+            self._run(str(tmp_path / "s.db"), *extra)
+
+    def test_resume_of_pipelined_study_rejects_zero_workers(self, tmp_path):
+        spec = str(tmp_path / "p.db")
+        assert self._run(spec, "--pipeline") == 0
+        with pytest.raises(SystemExit, match="workers must be >= 1"):
+            main(["study", "resume", "--storage", spec, "--workers", "0"])
+
+    def test_pipelined_process_pool_stores_the_serial_trials(self, tmp_path):
+        one, two = str(tmp_path / "one.db"), str(tmp_path / "two.db")
+        assert self._run(one, "--pipeline", "--workers", "1") == 0
+        assert self._run(two, "--pipeline", "--workers", "2") == 0
+        assert _stored_front(two, "houston-blackbox") == _stored_front(
+            one, "houston-blackbox"
+        )

@@ -1,4 +1,4 @@
-"""Config system: composition, overrides, YAML, sweepers, launchers."""
+"""Config system: composition, overrides, YAML, sweepers."""
 
 import numpy as np
 import pytest
@@ -9,15 +9,12 @@ from repro.confsys import (
     BlackboxSweeper,
     Config,
     GridSweeper,
-    MultiprocessingLauncher,
-    SerialLauncher,
     apply_overrides,
     compose,
     load_config,
     parse_override,
     save_config,
 )
-from repro.confsys.sweeper import SweepJob
 from repro.exceptions import ConfigurationError
 
 
@@ -172,32 +169,3 @@ class TestBlackboxSweeper:
         sweeper.run(evaluate, n_trials=60)
         assert study.best_value < 4.0
         assert 1 <= study.best_trial.params["model.layers"] <= 8
-
-
-def _job_fn(job: SweepJob):
-    return job.index * 10
-
-
-class TestLaunchers:
-    def _jobs(self, n=4):
-        return [SweepJob(index=i, config=Config({})) for i in range(n)]
-
-    def test_serial(self):
-        assert SerialLauncher().launch(_job_fn, self._jobs()) == [0, 10, 20, 30]
-
-    def test_multiprocessing_single_worker_fallback(self):
-        launcher = MultiprocessingLauncher(n_workers=1)
-        assert launcher.launch(_job_fn, self._jobs()) == [0, 10, 20, 30]
-
-    def test_multiprocessing_pool(self):
-        launcher = MultiprocessingLauncher(n_workers=2)
-        assert launcher.launch(_job_fn, self._jobs(6)) == [0, 10, 20, 30, 40, 50]
-
-    def test_empty_jobs(self):
-        assert MultiprocessingLauncher().launch(_job_fn, []) == []
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            MultiprocessingLauncher(n_workers=0)
-        with pytest.raises(ConfigurationError):
-            MultiprocessingLauncher(chunksize=0)

@@ -18,7 +18,7 @@ from repro.core.ensemble import (
 )
 from repro.core.fastsim import BatchEvaluator
 from repro.core.metrics import COMPARABLE_METRIC_FIELDS
-from repro.core.scenario import build_scenario, clear_scenario_cache
+from repro.core.scenario import build_scenario
 from repro.data.locations import get_location
 from repro.data.weather_events import WeatherEvent, dunkelflaute_events
 from repro.exceptions import ConfigurationError
@@ -186,22 +186,6 @@ class TestUnitProfileSharing:
             # identity, not equality: one synthesis, shared by all four
             assert sc.solar_per_kw_w is first.solar_per_kw_w
             assert sc.wind_per_turbine_w is first.wind_per_turbine_w
-
-    def test_parallel_build_identical_to_serial(self):
-        from repro.confsys import MultiprocessingLauncher
-
-        spec = EnsembleSpec(
-            years=(2020, 2021), severity=(1.0, 1.4), n_hours=N_HOURS
-        )
-        clear_scenario_cache()
-        parallel = build_ensemble(spec, launcher=MultiprocessingLauncher(n_workers=2))
-        clear_scenario_cache()
-        serial = build_ensemble(spec)
-        assert [sc.name for sc in parallel] == [sc.name for sc in serial]
-        for p, s in zip(parallel, serial):
-            np.testing.assert_array_equal(p.solar_per_kw_w, s.solar_per_kw_w)
-            np.testing.assert_array_equal(p.wind_per_turbine_w, s.wind_per_turbine_w)
-            np.testing.assert_array_equal(p.workload.power_w, s.workload.power_w)
 
 
 class TestStackedEnsembleEvaluation:

@@ -18,7 +18,6 @@ from repro.blackbox import (
     create_study,
 )
 from repro.blackbox.distributions import FloatDistribution, IntDistribution
-from repro.confsys import MultiprocessingLauncher
 from repro.core.parameterspace import ParameterSpace
 from repro.core.study_runner import CompositionObjective, OptimizationRunner
 from repro.exceptions import OptimizationError
@@ -164,18 +163,6 @@ class TestParallelDispatch:
 
 
 class TestParallelEvaluation:
-    def test_chunked_evaluation_matches_serial(self, houston_month):
-        comps = SMALL_SPACE.all_compositions()
-        serial = OptimizationRunner(houston_month, space=SMALL_SPACE).evaluate(comps)
-        parallel = OptimizationRunner(
-            houston_month, space=SMALL_SPACE, launcher=MultiprocessingLauncher(n_workers=2)
-        ).evaluate(comps)
-        assert [e.composition for e in serial] == [e.composition for e in parallel]
-        assert [e.embodied_kg for e in serial] == [e.embodied_kg for e in parallel]
-        assert [
-            e.metrics.operational_emissions_kg for e in serial
-        ] == [e.metrics.operational_emissions_kg for e in parallel]
-
     def test_composition_objective_matches_runner(self, houston_month):
         objective = CompositionObjective(houston_month, space=SMALL_SPACE)
         params = {"n_turbines": 2, "solar_increments": 3, "battery_units": 1}

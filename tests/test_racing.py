@@ -383,6 +383,35 @@ class TestStudyRacing:
         with pytest.raises(OptimizationError, match="racing"):
             self._run(houston_ensemble, plain, 40, load=True)
 
+    def test_raced_generations_keep_the_runners_engine(
+        self, houston_ensemble, monkeypatch
+    ):
+        """Every rung slice of a raced batched study runs the engine the
+        runner was built with, not the slice evaluator's default."""
+        import repro.core.fastsim as fastsim
+
+        real = fastsim.evaluate_member_slice
+        engines = []
+
+        def spy(*args, engine="auto", **kwargs):
+            engines.append(engine)
+            return real(*args, engine=engine, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("repro.") and (
+                getattr(module, "evaluate_member_slice", None) is real
+            ):
+                monkeypatch.setattr(module, "evaluate_member_slice", spy)
+        result = OptimizationRunner(
+            houston_ensemble, space=SMALL_SPACE, engine="loop"
+        ).run_blackbox(
+            n_trials=20,
+            sampler=NSGA2Sampler(population_size=10, seed=42),
+            racing="rungs=2,full",
+        )
+        assert result.n_pruned > 0
+        assert engines and set(engines) == {"loop"}
+
 
 KILL_CHILD = textwrap.dedent(
     """

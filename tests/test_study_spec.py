@@ -3,8 +3,8 @@
 The spec is the one place the full search identity lives: its
 ``to_metadata()``/``from_metadata()`` round-trip is what every driver
 persists and every resume replays, and ``check_resume_identity`` is the
-*single* validator all three drivers (batched, launcher-fanned,
-pipelined) route through — so these tests also pin, by scanning the
+*single* validator every driver (batched, pipelined, remote) routes
+through — so these tests also pin, by scanning the
 source tree, that the historical per-driver copies stay deleted.
 """
 
