@@ -179,6 +179,81 @@ class TestSingleValidatorProof:
             assert not re.search(r"raise \w+Error\([^)]*resumed with", text, re.S), rel
 
 
+class _RecordingRunner:
+    """Stands in for ``OptimizationRunner``: records which driver
+    ``StudySpec.execute`` picked and with what, and runs nothing."""
+
+    def __init__(self):
+        self.calls = []
+
+    def run_pipelined(self, **kwargs):
+        self.calls.append(("pipelined", kwargs))
+
+    def run_blackbox(self, **kwargs):
+        self.calls.append(("batched", kwargs))
+
+
+class TestExecuteWorkers:
+    """``StudySpec.execute`` validates ``workers`` once, before building
+    anything, and sizes the pipelined driver's pool from it."""
+
+    @pytest.mark.parametrize(
+        "pipeline, workers, message",
+        [
+            (None, 0, "workers must be >= 1, got 0"),
+            ("speculate=0", 0, "workers must be >= 1, got 0"),
+            (None, -2, "workers must be >= 1, got -2"),
+            (None, 2, "needs --pipeline"),
+        ],
+    )
+    def test_bad_workers_raise_before_any_scenario_build(
+        self, tmp_path, monkeypatch, pipeline, workers, message
+    ):
+        def no_build(self):
+            raise AssertionError("execute built a runner for bad workers")
+
+        monkeypatch.setattr(StudySpec, "build_runner", no_build)
+        storage = tmp_path / "s.jsonl"
+        spec = StudySpec(sites=("houston",), n_hours=48, pipeline=pipeline)
+        with pytest.raises(OptimizationError, match=message):
+            spec.execute(str(storage), workers=workers)
+        assert not storage.exists()
+
+    @pytest.mark.parametrize(
+        "pipeline, workers, driver, executor",
+        [
+            (None, 1, "batched", None),
+            ("speculate=0", 1, "pipelined", "thread"),
+            ("speculate=0", 2, "pipelined", "process"),
+        ],
+    )
+    def test_workers_pick_the_driver_and_its_pool(
+        self, monkeypatch, pipeline, workers, driver, executor
+    ):
+        runner = _RecordingRunner()
+        monkeypatch.setattr(StudySpec, "build_runner", lambda self: runner)
+        spec = StudySpec(sites=("houston",), n_hours=48, pipeline=pipeline)
+        spec.execute("unused.jsonl", workers=workers)
+        [(picked, kwargs)] = runner.calls
+        assert picked == driver
+        if driver == "pipelined":
+            assert kwargs["workers"] == workers
+            assert kwargs["executor"] == executor
+        else:
+            assert "workers" not in kwargs and "executor" not in kwargs
+
+    def test_executor_object_admits_workers_without_pipeline(self, monkeypatch):
+        runner = _RecordingRunner()
+        monkeypatch.setattr(StudySpec, "build_runner", lambda self: runner)
+        queue = object()
+        StudySpec(sites=("houston",), n_hours=48).execute(
+            "unused.jsonl", workers=3, executor=queue
+        )
+        [(picked, kwargs)] = runner.calls
+        assert picked == "pipelined"
+        assert kwargs["executor"] is queue and kwargs["workers"] == 3
+
+
 class TestOldCliPathResumesThroughSpec:
     """A study persisted by `repro study run` resumes through
     StudySpec.from_metadata to the bit-identical front."""
