@@ -28,6 +28,7 @@ ci:
 	PYTHONPATH=src python -m pytest -q tests/test_study_spec.py tests/test_service.py
 	PYTHONPATH=src python -m pytest -q tests/test_lease.py tests/test_remote_worker.py
 	PYTHONPATH=src python -m pytest -q tests/test_special.py
+	PYTHONPATH=src python -m pytest -q tests/test_kernel_differential.py tests/test_dispatch_policies.py
 	PYTHONPATH=src python -m pytest -m tier2 --collect-only -q
 	PYTHONPATH=src python -m pytest benchmarks/ --collect-only -q
 
@@ -41,8 +42,8 @@ regression:
 # rainflow fade runs the SoC-trace path, and the one-remote-worker study,
 # all at seed 42.  remote_1w evaluates one candidate per call, so it is
 # the only workload whose references pin the segments engine at S*N = 1.
-# A remote_1w study takes about 15 s on a 2-CPU host, so with a shorter
-# PERFBENCH_SECONDS its run makes just one study.  run.py exits 0 even
+# A remote_1w study takes about 3 s on a 2-CPU host, so even a short
+# PERFBENCH_SECONDS run makes a few studies.  run.py exits 0 even
 # when a Pareto front differs from perfbench/references.json, so each
 # run's last output line (JSON) is checked for "correct": true here.
 PERFBENCH_SECONDS ?= 25

@@ -410,12 +410,13 @@ def run_dispatch(
 
     ``engine`` selects the execution strategy (DESIGN.md §9): the
     per-step reference ``"loop"`` below, the always-available
-    ``"segments"`` engine, the compiled ``"njit"`` engine, or ``"auto"``
-    (the default) which picks the fastest engine that is bit-for-bit
-    equal to the loop for this call.  A SoC trace runs on ``"segments"``;
-    per-step flow traces, policies outside the standard five and a SoC
-    trace of a single (scenario, candidate) cell fall back to the loop.
-    Explicit compiled engines refuse instead of falling back — see
+    ``"segments"`` engine (calls of a few cells run on a scalar path
+    inside it, bit for bit as its vector path), the compiled ``"njit"``
+    engine, or ``"auto"`` (the default) which picks the fastest engine
+    that is bit-for-bit equal to the loop for this call.  A SoC trace
+    runs on ``"segments"``; per-step flow traces, policies outside the
+    standard five and a SoC trace of a single (scenario, candidate) cell
+    fall back to the loop.  Explicit compiled engines refuse instead of falling back — see
     :func:`repro.core.kernel.resolve_engine`.
 
     Trace mode (``trace_soc`` / ``trace_flows``) additionally records the

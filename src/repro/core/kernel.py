@@ -27,9 +27,11 @@ through it.  This module provides two drop-in replacements that compute
       constants (including 0, 1 and the decay factor) are rows too, so
       every per-step ufunc takes array operands only, and every
       operation writes into preallocated buffers (zero allocations in
-      the inner loop).  An hourly step costs 18 ufunc calls; a one-cell
-      call (S·N = 1) makes the same calls out of place, since a ufunc
-      whose output is also an input costs about twice as much there.
+      the inner loop).  An hourly step costs 18 ufunc calls;
+    * those 18 dispatches cost about the same at any narrow width, so a
+      float64 call of at most ``_SCALAR_CELLS`` cells (a one-candidate
+      remote evaluation, say) runs the same operations cell by cell on
+      Python floats instead, with the same bits.
 
     Each replaced expression is an exact floating-point identity of the
     reference loop's (same IEEE-754 operations, same order), so the
@@ -61,6 +63,8 @@ unchanged after float64 promotion).
 """
 
 from __future__ import annotations
+
+from itertools import islice
 
 import numpy as np
 
@@ -301,16 +305,25 @@ def _candidate_groups(
 
 
 #: Steps per accumulator fold: one ``np.add.reduce`` adds a group of this
-#: many per-step contributions to the running total.  For S·N > 1 the
-#: reduce runs left to right, as the loop's ``+=`` does.  At S·N = 1 numpy
-#: sums each full group pairwise, which is the known defect pinned by the
-#: strict xfail ``test_single_cell_long_horizon_segments_bitwise``; the
-#: group size is therefore part of the S·N = 1 results.
+#: many per-step contributions to the running total, left to right for
+#: S·N > 1 as the loop's ``+=`` does, pairwise at S·N = 1 (the defect
+#: :func:`_fold_group` describes), so the group size is part of those sums.
 _FOLD_STEPS = 8
 #: Cell budget (steps × S·N) of one prologue/epilogue chunk buffer.
 _CHUNK_CELLS = 4096
 #: Longest prologue/epilogue chunk, in steps.
 _CHUNK_MAX_STEPS = 64
+#: Widest float64 call (S·N cells) that runs on the scalar path.  Full-year
+#: Houston calls, best of 5, vector / scalar ms, on a shared 2-vCPU x86-64
+#: host (CPython 3.11, numpy 2.4; vector S·N = 1 is the in-place step):
+#:
+#:   S·N         1          2         3         4         6         8
+#:   untraced  138 / 10   78 / 19   85 / 28   92 / 38   90 / 59   85 / 77
+#:   traced    147 / 10   90 / 20   92 / 33  122 / 53   91 / 52  104 / 95
+#:
+#: A repeat ran 10-40 % slower throughout (host drift), same ratios: the
+#: scalar path wins clearly up to 6 cells and about ties at 8.
+_SCALAR_CELLS = 6
 
 
 def _chunk_steps(flat: int) -> int:
@@ -339,21 +352,212 @@ def run_dispatch_segments(
     """Segment-vectorized dispatch: bitwise-equal to the reference loop.
 
     Restructures :func:`repro.core.dispatch.run_dispatch` around a mode
-    table (policy decisions precomputed for all steps) and chunked
-    prologue/epilogue processing, keeping every floating-point operation
-    IEEE-identical to the loop.  The chunk length follows the call's
-    width (see :func:`_chunk_steps`); the accumulator fold always runs
-    over groups of ``_FOLD_STEPS`` steps, so the results do not depend
-    on it.  ``dtype=np.float32`` selects the non-bitwise racing fast
-    path.  ``trace_soc`` records the per-step SoC as the loop does,
-    returned as an ``(S, N, T+1)`` view of one time-major buffer.
+    table (policy decisions precomputed for all steps), keeping every
+    floating-point operation IEEE-identical to the loop.  Float64 calls
+    of at most ``_SCALAR_CELLS`` cells run :func:`_segments_scalar`, all
+    others :func:`_segments_vector`; both return the same bits.
+    ``dtype=np.float32`` selects the non-bitwise racing fast path.
+    ``trace_soc`` records the per-step SoC as the loop does, returned as
+    an ``(S, N, T+1)`` view of one time-major buffer.
     """
+    if np.dtype(dtype) == np.float64 and stack.n_scenarios * solar_kw.size <= _SCALAR_CELLS:
+        return _segments_scalar(
+            stack, solar_kw, turbine_factor, capacity_wh, params, initial_soc, policy, trace_soc
+        )
+    return _segments_vector(
+        stack, solar_kw, turbine_factor, capacity_wh, params, initial_soc, policy, dtype, trace_soc
+    )
+
+
+def _lowered(policy: VectorizedPolicy | None, stack: ScenarioStack):
+    """The policy (default if None) and its mode table, or a refusal."""
     policy = policy or DefaultDispatch()
     table = lower_policy(policy, stack)
     if table is None:
         raise ConfigurationError(
             f"policy {type(policy).__name__} cannot be lowered; use engine='loop'"
         )
+    return policy, table
+
+
+def _time_major(stack: ScenarioStack, f: np.dtype) -> list[np.ndarray]:
+    """Solar, wind, load, CI and price as contiguous ``(T, S)`` arrays, so
+    each step reads one row instead of a strided column (as the loop does)."""
+    profiles = (stack.solar_per_kw_w, stack.wind_per_turbine_w, stack.load_w)
+    profiles += (stack.ci_g_per_kwh, stack.prices_usd_kwh)
+    return [np.ascontiguousarray(a.T).astype(f, copy=False) for a in profiles]
+
+
+def _dispatch_result(totals: np.ndarray, soc_rows: np.ndarray | None) -> DispatchResult:
+    """Pack ``(8, S, N)`` totals and a ``(T+1, S·N)`` SoC trace."""
+    soc = None
+    if soc_rows is not None:
+        # A transposed view, not a copy: a copy would double the trace's
+        # peak memory.
+        soc = soc_rows.astype(np.float64, copy=False)
+        soc = soc.reshape(-1, *totals.shape[1:]).transpose(1, 2, 0)
+    # Exact for f64, exact widening for f32; rows in the fields' order.
+    return DispatchResult(*totals.astype(np.float64), soc=soc)
+
+
+def _fold_left(steps, totals=(0.0,) * 7) -> tuple[float, ...]:
+    """Add each step's seven terms to the running totals, step by step, as
+    the loop's ``+=`` does (the vector engine's fold at S·N > 1)."""
+    a, b, c, d, e, f, g = totals
+    for ta, tb, tc, td, te, tf, tg in steps:
+        a += ta
+        b += tb
+        c += tc
+        d += td
+        e += te
+        f += tf
+        g += tg
+    return a, b, c, d, e, f, g
+
+
+def _fold_group(steps) -> tuple[float, ...]:
+    """The vector engine's fold at S·N = 1: one ``np.add.reduce`` per
+    contiguous ``[total, c1..c8]``, which numpy sums pairwise from eight
+    elements on, ``((t+c1)+(c2+c3))+((c4+c5)+(c6+c7))`` then ``+ c8``,
+    and left to right below eight.  Fixing that fold (the strict xfail
+    ``test_single_cell_long_horizon_segments_bitwise``) replaces this
+    helper with :func:`_fold_left`, and the vector reduce with an ordered
+    one."""
+    totals = (0.0,) * 7
+    while group := list(islice(steps, _FOLD_STEPS)):
+        if len(group) < 7:
+            return _fold_left(group, totals)
+        head = [
+            ((t + c1) + (c2 + c3)) + ((c4 + c5) + (c6 + c7))
+            for t, c1, c2, c3, c4, c5, c6, c7 in zip(totals, *group[:7])
+        ]
+        totals = _fold_left(group[7:], head)
+    return totals
+
+
+def _segments_scalar(
+    stack: ScenarioStack,
+    solar_kw: np.ndarray,
+    turbine_factor: np.ndarray,
+    capacity_wh: np.ndarray,
+    params: CLCParameters,
+    initial_soc: float = 0.5,
+    policy: VectorizedPolicy | None = None,
+    trace_soc: bool = False,
+) -> DispatchResult:
+    """The segments engine's narrow path: the vector step, cell by cell.
+
+    Every float64 operation of :func:`_segments_vector`, on the same
+    operands in the same order, on Python floats read through zero-copy
+    ``memoryview``s: the same accumulators and SoC trace at any width.
+    ``np.maximum``/``np.minimum`` are written out with numpy's semantics:
+    NaN from either side wins, and a tie (0.0 against -0.0) returns the
+    second operand.
+    """
+    policy, table = _lowered(policy, stack)
+    islanded = bool(policy.islanded)
+    s, n, t_steps = stack.n_scenarios, int(solar_kw.size), stack.n_steps
+    flat = s * n
+    dt_h = stack.step_s / SECONDS_PER_HOUR
+    eps_wh = ISLANDED_EPS_W * dt_h
+    soc0 = float(np.clip(initial_soc, params.soc_min, params.soc_max))
+    eta_c, eta_d, soc_max = params.eta_charge, params.eta_discharge, params.soc_max
+    span = max(soc_max - params.taper_soc_threshold, 1e-9)
+    decay = 1.0 - params.self_discharge_per_hour * dt_h
+    cap = np.broadcast_to(np.asarray(capacity_wh, dtype=np.float64), (s, n))
+    group, kw_u, tb_u = _candidate_groups(
+        np.asarray(solar_kw, dtype=np.float64),
+        np.asarray(turbine_factor, dtype=np.float64),
+    )
+    cols = [memoryview(a.reshape(-1)) for a in (*_time_major(stack, np.float64), table)]
+    soc_rows = np.empty((t_steps + 1, flat)) if trace_soc else None
+    soc_v = memoryview(soc_rows.reshape(-1)) if trace_soc else None
+
+    def cell(columns, cr, c, kw, tb, k):
+        """One cell's fold terms, step by step; writes its SoC trace."""
+        safe = c if c > 1e-12 or c != c else 1e-12
+        e_max, e_min = c * soc_max, c * params.soc_min
+        p_cap, d_lim = c * params.max_charge_c_rate, c * params.max_discharge_c_rate
+        e = c * soc0
+        if soc_v is not None:
+            soc_v[k] = e / safe
+        for sol, wind, load, ci, price, mode in zip(*columns):
+            # prologue: request decomposition
+            net = sol * kw + wind * tb - load
+            rp = net if net > 0.0 or net != net else 0.0
+            rn = rp - net if mode == MODE_GREEDY else 0.0
+            if mode == MODE_UNLIMITED:
+                rp = UNLIMITED_CHARGE_W
+            # battery step (C/L/C)
+            e *= decay
+            taper = (soc_max - e / safe) / span
+            head = e_max - e
+            avail = e - e_min
+            avail = avail if avail > 0.0 or avail != avail else 0.0
+            taper = taper if taper > 0.0 or taper != taper else 0.0
+            # The vector step skips ·dt_h and /dt_h on the hour; they are
+            # exact there (x·1 = x/1 = x), so this body always applies them.
+            head /= dt_h
+            avail /= dt_h
+            head /= eta_c
+            taper = taper if taper < 1.0 or taper != taper else 1.0
+            avail *= eta_d
+            p_lim = taper * p_cap
+            head = p_lim if p_lim < head or p_lim != p_lim else head
+            avail = d_lim if d_lim < avail or d_lim != d_lim else avail
+            pc = rp if rp < head or rp != rp else head
+            pd = rn if rn < avail or rn != rn else avail
+            e = e + pc * eta_c * dt_h - pd * dt_h / eta_d
+            e = e if e > 0.0 or e != e else 0.0
+            e = e if e < e_max or e != e else e_max
+            if soc_v is not None:
+                k += flat
+                soc_v[k] = e / safe
+            # epilogue: grid split, costs, emissions, islanding
+            res = net - (pc - pd)
+            exp_w = res if res > 0.0 or res != res else 0.0
+            dfc = (exp_w - res) * dt_h
+            exp_w *= dt_h
+            exp_kwh = exp_w / WH_PER_KWH * cr
+            if islanded:
+                em, cost = 0.0, 0.0 - exp_kwh
+            else:
+                imp_kwh = dfc / WH_PER_KWH
+                em = imp_kwh * ci / 1000.0
+                cost = imp_kwh * price - exp_kwh
+            isl = 1.0 if dfc <= eps_wh else 0.0
+            yield dfc, exp_w, pc * dt_h, pd * dt_h, em, cost, isl
+
+    fold = _fold_group if flat == 1 else _fold_left
+    totals = np.zeros((8, s, n))
+    # Accumulator row of each term: deficit (import, or unserved when
+    # islanded), export, charge, discharge, emissions, cost, islanded.
+    rows = [4 if islanded else 0, 1, 2, 3, 5, 6, 7]
+    for si in range(s):
+        columns = [col[si::s] for col in cols]
+        cr = float(stack.export_credit_usd_kwh[si, 0])
+        for ni in range(n):
+            c, g = float(cap[si, ni]), ni // group
+            steps = cell(columns, cr, c, float(kw_u[g]), float(tb_u[g]), si * n + ni)
+            totals[rows, si, ni] = fold(steps)
+    return _dispatch_result(totals, soc_rows)
+
+
+def _segments_vector(
+    stack: ScenarioStack,
+    solar_kw: np.ndarray,
+    turbine_factor: np.ndarray,
+    capacity_wh: np.ndarray,
+    params: CLCParameters,
+    initial_soc: float = 0.5,
+    policy: VectorizedPolicy | None = None,
+    dtype: "np.dtype | type" = np.float64,
+    trace_soc: bool = False,
+) -> DispatchResult:
+    """The segments engine's vector step, over all S·N cells at once.  The
+    chunk length follows the call's width (:func:`_chunk_steps`); the fold
+    groups are ``_FOLD_STEPS`` steps at any chunk, so results do not."""
+    policy, table = _lowered(policy, stack)
     f = np.dtype(dtype)
     if f not in (np.dtype(np.float64), np.dtype(np.float32)):
         raise ConfigurationError(f"dtype must be float64 or float32, got {dtype!r}")
@@ -426,36 +630,10 @@ def run_dispatch_segments(
     rows_dc = work[7:9]
     zero2 = work[14:16]
     dt2 = work[17:19]
-    # A ufunc that writes over its input costs about twice as much when
-    # the rows are one cell long (about 0.9 µs against 0.4 µs), while
-    # wider rows are fastest updated in place.  So at S·N = 1 the step's
-    # one-row updates go out of place: energy steps through a spare row,
-    # and min(taper, 1) and head/η_c run as two-row calls on (avail, taper)
-    # and (head, avail), whose avail row is an exact no-op (min(avail, inf),
-    # avail/1).  At S·N > 1 these names alias the rows they update, and the
-    # step is the in-place one.
-    if flat == 1:
-        spare = np.empty((6, 1), dtype=f)  # next energy | scratch | inf, 1 | eta_c, 1
-        spare[2:, 0] = (np.inf, 1.0, params.eta_charge, 1.0)
-        e_next, t_tmp, e_tmp, e_tmp2 = spare[0], spare[1], spare[1], head
-        rows_taper, cap_taper = rows_at, spare[2:4]
-        rows_head, div_head = rows_ha, spare[4:6]
-        np.copyto(e_next, energy)
-    else:
-        e_next = e_tmp = e_tmp2 = energy
-        t_tmp = taper
-        rows_taper, cap_taper = taper, one_f
-        rows_head, div_head = head, etac_f
 
     eps_wh = ISLANDED_EPS_W * dt_h
 
-    # Time-major contiguous profiles: one cheap row index per step instead
-    # of a strided column slice (the reference loop now does the same).
-    sol_t = np.ascontiguousarray(stack.solar_per_kw_w.T).astype(f, copy=False)
-    wind_t = np.ascontiguousarray(stack.wind_per_turbine_w.T).astype(f, copy=False)
-    load_t = np.ascontiguousarray(stack.load_w.T).astype(f, copy=False)
-    ci_t = np.ascontiguousarray(stack.ci_g_per_kwh.T).astype(f, copy=False)
-    price_t = np.ascontiguousarray(stack.prices_usd_kwh.T).astype(f, copy=False)
+    sol_t, wind_t, load_t, ci_t, price_t = _time_major(stack, f)
     credit = stack.export_credit_usd_kwh.astype(f, copy=False)
 
     has_modes = bool(table.any())
@@ -503,7 +681,7 @@ def run_dispatch_segments(
     soc_rows = None
     if trace_soc:
         soc_rows = np.empty((t_steps + 1, flat), dtype=f)
-        div(e_next, safe_f, soc_rows[0])
+        div(energy, safe_f, soc_rows[0])
 
     for t0 in range(0, t_steps, blk):
         t1 = min(t0 + blk, t_steps)
@@ -539,16 +717,16 @@ def run_dispatch_segments(
         for i in range(b):
             p_charge = pc_rows[i]
             p_discharge = pd_rows[i]
-            mul(e_next, decay_f, energy)  # self-discharge (max(·,0) is a no-op: e ≥ 0)
+            mul(energy, decay_f, energy)  # self-discharge (max(·,0) is a no-op: e ≥ 0)
             div(energy, safe_f, taper)
-            sub(socmax_f, taper, t_tmp)
-            div(t_tmp, span_f, taper)
+            sub(socmax_f, taper, taper)
+            div(taper, span_f, taper)
             sub(rows_eh, rows_ee, rows_ha)  # head = e_max − e ; avail = e − e_min
             mx(rows_at, zero2, out=rows_at)  # max(avail, 0) ; max(taper, 0)
             if not unit_dt:
                 div(rows_ha, dt2, rows_ha)
-            div(rows_head, div_head, rows_head)  # head / η_c
-            mn(rows_taper, cap_taper, out=rows_taper)  # min(taper, 1)
+            div(head, etac_f, head)  # head / η_c
+            mn(taper, one_f, out=taper)  # min(taper, 1)
             # avail·η_d ; p_lim = taper·(cap·c_rate), which IEEE rounds
             # exactly as the loop's (cap·c_rate)·taper
             mul(rows_at, rows_dc, rows_at)
@@ -562,12 +740,12 @@ def run_dispatch_segments(
                 mul(head, dt_f, head)
                 mul(p_discharge, dt_f, avail)
                 div(avail, etad_f, avail)
-            add(energy, head, e_tmp)
-            sub(e_tmp, avail, e_tmp2)
-            mx(e_tmp2, zero_f, out=e_tmp)
-            mn(e_tmp, e_max, out=e_next)
+            add(energy, head, energy)
+            sub(energy, avail, energy)
+            mx(energy, zero_f, out=energy)
+            mn(energy, e_max, out=energy)
             if soc_rows is not None:
-                div(e_next, safe_f, soc_rows[t0 + i + 1])
+                div(energy, safe_f, soc_rows[t0 + i + 1])
 
         # --- epilogue: grid split, costs, emissions, islanding -----------
         export_c = contrib[1, 1 : b + 1]
@@ -603,24 +781,7 @@ def run_dispatch_segments(
             contrib[:, g0] = totals
             np.add.reduce(contrib[:, g0 : g1 + 1], axis=1, out=totals)
 
-    out = totals.astype(np.float64)  # exact for f64; exact widening for f32
-    soc = None
-    if soc_rows is not None:
-        # A transposed view, not a copy: a copy would double the trace's
-        # peak memory.
-        soc = soc_rows.astype(np.float64, copy=False)
-        soc = soc.reshape(t_steps + 1, s, n).transpose(1, 2, 0)
-    return DispatchResult(
-        import_wh=out[0],
-        export_wh=out[1],
-        charge_wh=out[2],
-        discharge_wh=out[3],
-        unserved_wh=out[4],
-        emissions_kg=out[5],
-        cost_usd=out[6],
-        islanded_steps=out[7],
-        soc=soc,
-    )
+    return _dispatch_result(totals, soc_rows)
 
 
 # -- the numba kernel --------------------------------------------------------
@@ -756,12 +917,7 @@ def _run_dispatch_njit(
     """njit engine front-end: lower the policy, call the compiled kernel."""
     if not HAS_NUMBA:
         raise ConfigurationError("engine='njit' requires numba, which is not installed")
-    policy = policy or DefaultDispatch()
-    table = lower_policy(policy, stack)
-    if table is None:
-        raise ConfigurationError(
-            f"policy {type(policy).__name__} cannot be lowered; use engine='loop'"
-        )
+    policy, table = _lowered(policy, stack)
     s, n = stack.n_scenarios, int(solar_kw.size)
     cap = np.ascontiguousarray(capacity_wh, dtype=np.float64)
     soc0 = float(np.clip(initial_soc, params.soc_min, params.soc_max))
@@ -770,11 +926,7 @@ def _run_dispatch_njit(
     dt_h = stack.step_s / SECONDS_PER_HOUR
     out = np.empty((8, s, n), dtype=np.float64)
     _njit_cell_loop_compiled(
-        np.ascontiguousarray(stack.solar_per_kw_w.T),
-        np.ascontiguousarray(stack.wind_per_turbine_w.T),
-        np.ascontiguousarray(stack.load_w.T),
-        np.ascontiguousarray(stack.ci_g_per_kwh.T),
-        np.ascontiguousarray(stack.prices_usd_kwh.T),
+        *_time_major(stack, np.float64),
         np.ascontiguousarray(stack.export_credit_usd_kwh[:, 0]),
         np.ascontiguousarray(solar_kw, dtype=np.float64),
         np.ascontiguousarray(turbine_factor, dtype=np.float64),
@@ -792,13 +944,4 @@ def _run_dispatch_njit(
         bool(policy.islanded),
         out,
     )
-    return DispatchResult(
-        import_wh=out[0],
-        export_wh=out[1],
-        charge_wh=out[2],
-        discharge_wh=out[3],
-        unserved_wh=out[4],
-        emissions_kg=out[5],
-        cost_usd=out[6],
-        islanded_steps=out[7],
-    )
+    return _dispatch_result(out, None)

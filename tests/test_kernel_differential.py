@@ -22,6 +22,10 @@ the property-fuzz harness that enforces it:
 * horizons that cross the segments engine's prologue/epilogue chunks in
   every chunk-width band, and a pin on its S·N = 1 sums until the fold
   there is fixed;
+* the segments engine's narrow path (the scalar body that float64 calls
+  of at most ``kernel._SCALAR_CELLS`` cells take) against its vector
+  path, bit for bit at every narrow width, and against the loop at
+  S·N ≥ 2;
 * SoC trace mode: the segments engine's trace and accumulators against
   the loop's, on random draws and end to end through rainflow fade on a
   real ensemble, plus the ``auto`` routing that keeps a single traced
@@ -466,12 +470,13 @@ class TestEdgeRegimes:
     )
 
     def test_single_cell_multi_chunk_fold_is_pinned(self):
-        """S = N = 1, T = 203: four prologue chunks and a partial last
-        fold group.  The fold at S·N = 1 is inexact (the strict xfail
-        above), so the chunk length must leave its 8-step grouping, and
-        with it these sums, exactly as they were; otherwise the remote
-        reference fronts move.  The benchmark change that fixes the fold
-        replaces this pin with equality to the loop."""
+        """S = N = 1, T = 203: 25 full fold groups and a partial last
+        one.  The fold at S·N = 1 is inexact (the strict xfail above):
+        the scalar path reproduces the vector engine's pairwise 8-step
+        group sums (``kernel._fold_group``), and these sums must stay
+        exactly as they were; otherwise the remote reference fronts move.
+        The benchmark change that fixes the fold replaces this pin with
+        equality to the loop."""
         rng = np.random.default_rng(16)
         stack = random_stack(rng, 1, 203, 3_600.0)
         cands = (np.array([500.0]), np.array([0.3]), np.array([2.0e7]))
@@ -499,7 +504,7 @@ class TestMultiChunkFuzz:
     cells, 8 from 512 cells), while the accumulator fold keeps 8-step
     groups.  Every band is driven across chunk edges (T = 63, 64, 65,
     130, 203), hourly and sub-hourly, untraced and with the SoC trace;
-    so is the one-cell step (S·N = 1).
+    so is a one-cell call (S·N = 1).
     """
 
     #: (S, N, expected chunk steps) per chunk-width band
@@ -538,10 +543,10 @@ class TestMultiChunkFuzz:
 
     @pytest.mark.parametrize("step_s", [900.0, 3_600.0])
     def test_single_cell_step(self, step_s):
-        """S·N = 1 runs the step's one-row updates out of place.  Its SoC
-        trace is the loop's over four chunks; its accumulators are the
-        loop's while the horizon fits one exact fold (T = 6, seven terms
-        summed left to right; longer horizons hit the xfail above)."""
+        """S·N = 1 runs the scalar path.  Its SoC trace is the loop's
+        over T = 203; its accumulators are the loop's while the horizon
+        fits one exact fold (T = 6, seven terms summed left to right;
+        longer horizons hit the xfail above)."""
         rng = np.random.default_rng(9_100 + int(step_s))
         params = random_params(rng)
         for t, cap_wh in itertools.product((6, 203), (2e6, 5e7)):
@@ -572,6 +577,109 @@ class TestMultiChunkFuzz:
         assert kernel._candidate_groups(solar_kw, turbine)[0] == g
         assert kernel._chunk_steps(2 * pairs * g) == 24
         self._check(stack, (solar_kw, turbine, cap), random_params(rng), "grouped")
+
+
+def assert_bitwise(got: np.ndarray, want: np.ndarray, label: str) -> None:
+    """Equal bit patterns: unlike ``==``, tells -0.0 from 0.0."""
+    np.testing.assert_array_equal(
+        np.asarray(got, dtype=np.float64).view(np.uint64),
+        np.asarray(want, dtype=np.float64).view(np.uint64),
+        err_msg=label,
+    )
+
+
+class TestNarrowPath:
+    """The segments engine's scalar path against its vector path.
+
+    ``run_dispatch_segments`` sends float64 calls of at most
+    ``kernel._SCALAR_CELLS`` cells to a per-cell body on Python floats;
+    its accumulators and SoC trace must be the vector path's bits at
+    every such width, S·N = 1 fold included, and the loop's at S·N ≥ 2.
+    Layouts 1×k, k×1 and 2×2 up to one cell past the crossover; horizons
+    end on a 7-step fold group (T = 15, pairwise without an eighth term)
+    and a 6-step one after a full chunk (T = 70, left to right).
+    """
+
+    LAYOUTS = sorted(
+        {(1, k) for k in range(1, kernel._SCALAR_CELLS + 2)}
+        | {(k, 1) for k in range(2, kernel._SCALAR_CELLS + 2)}
+        | {(2, 2)}
+    )
+
+    @staticmethod
+    def candidates(rng: np.random.Generator, n: int):
+        """Zero-capacity, saturating (100 Wh) and ordinary batteries in turn."""
+        cap = np.array([(0.0, 100.0, 3e7)[i % 3] for i in range(n)])
+        return rng.uniform(0.0, 2_000.0, n), rng.uniform(0.0, 10.0, n), cap
+
+    def _check(self, stack, cands, params, label):
+        s, n = stack.n_scenarios, cands[0].size
+        for policy in random_policies(np.random.default_rng(stack.n_steps), s):
+            tag = f"{label} {type(policy).__name__}"
+            loop = run_dispatch(
+                stack, *cands, params, policy=policy, engine="loop", trace_soc=True
+            )
+            for trace_soc in (False, True):
+                got = kernel.run_dispatch_segments(
+                    stack, *cands, params, policy=policy, trace_soc=trace_soc
+                )
+                want = kernel._segments_vector(
+                    stack, *cands, params, policy=policy, trace_soc=trace_soc
+                )
+                assert_bitwise(result_rows(got), result_rows(want), f"{tag} trace={trace_soc}")
+                if trace_soc:
+                    assert_bitwise(got.soc, want.soc, f"{tag}: SoC")
+                if s * n >= 2:
+                    assert_rows_equal(result_rows(got), result_rows(loop), f"{tag} vs loop")
+                    if trace_soc:
+                        np.testing.assert_array_equal(got.soc, loop.soc, err_msg=f"{tag}: SoC")
+
+    @pytest.mark.parametrize("step_s", [900.0, 3_600.0])
+    @pytest.mark.parametrize("t", [15, 70])
+    @pytest.mark.parametrize("s, n", LAYOUTS)
+    def test_scalar_path_bitwise(self, s, n, t, step_s):
+        rng = np.random.default_rng(12_000 + 100 * s + 10 * n + t)
+        stack = random_stack(rng, s, t, step_s)
+        self._check(stack, self.candidates(rng, n), random_params(rng), f"S={s} N={n} T={t}")
+
+    def test_net_load_hits_signed_zero(self):
+        """Steps whose net load is exactly 0.0 or -0.0: idle generation
+        against idle load, ``-0.0`` profile values, and generation that
+        cancels the load exactly."""
+        rng = np.random.default_rng(12_345)
+        t = 24
+        stack = random_stack(rng, 1, t, 3_600.0)
+        solar_kw, turbine = np.array([1_000.0, 0.0]), np.array([1.0, 2.0])
+        cap = np.array([3e7, 0.0])
+        sol, wind, load = stack.solar_per_kw_w[0], stack.wind_per_turbine_w[0], stack.load_w[0]
+        sol[0::3], wind[0::3], load[0::3] = 0.0, 0.0, 0.0
+        sol[1::3], wind[1::3], load[1::3] = -0.0, -0.0, 0.0
+        load[2::3] = sol[2::3] * solar_kw[0] + wind[2::3] * turbine[0]
+        for layout in ((solar_kw, turbine, cap), (solar_kw[:1], turbine[:1], cap[:1])):
+            net = sol[:, None] * layout[0] + wind[:, None] * layout[1] - load[:, None]
+            assert np.all(net[:, 0][0::3] == 0.0) and np.all(np.signbit(net[:, 0][1::3]))
+            self._check(stack, layout, random_params(rng), f"signed zero N={layout[0].size}")
+
+    def test_nan_profile_steps(self):
+        """A NaN load step: NaN propagates through every clamp as numpy
+        propagates it, into the SoC trace and the sums."""
+        rng = np.random.default_rng(12_346)
+        stack = random_stack(rng, 1, 30, 3_600.0)
+        stack.load_w[0, 20] = np.nan
+        for n in (1, 2):
+            self._check(stack, self.candidates(rng, n), random_params(rng), f"NaN N={n}")
+
+    def test_numpy_min_max_semantics(self):
+        """The scalar body writes ``np.maximum``/``np.minimum`` out as
+        ``a if a > b or a != a else b`` (``<`` for the minimum): NaN from
+        either side wins and a tie returns the second operand."""
+        values = (0.0, -0.0, 1.0, np.nan)
+        for a, b in itertools.product(values, repeat=2):
+            for ufunc, beats in ((np.maximum, a > b), (np.minimum, a < b)):
+                want = a if beats or a != a else b
+                for width in (1, 2, 5):  # one cell, and numpy's SIMD widths
+                    got = ufunc(np.full(width, a), np.full(width, b))
+                    assert_bitwise(got, np.full(width, want), f"{ufunc.__name__}({a}, {b})")
 
 
 # -- engine selection semantics ----------------------------------------------
