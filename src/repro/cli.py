@@ -265,13 +265,14 @@ def _open_storage(args, shards: "int | None" = None):
     return open_study_storage(_store_spec(args))
 
 
-def _print_search_summary(result, spec: str, name: str) -> None:
-    front = result.front()
-    line = (
-        f"study '{name}': {len(result.study.trials)} trials, "
-        f"{result.n_simulations} simulations this run, "
-        f"front size {len(front)} (storage: {spec})"
-    )
+def _print_search_summary(result, storage, spec: str, name: str) -> None:
+    from .service import stored_front_size
+
+    line = f"study '{name}': {len(result.study.trials)} trials"
+    if result.n_simulations is not None:
+        line += f", {result.n_simulations} simulations this run"
+    front_size = stored_front_size(storage.load_study(name)) or 0
+    line += f", front size {front_size} (storage: {spec})"
     if result.racing is not None:
         st = result.racing
         line += (
@@ -351,7 +352,7 @@ def cmd_study_run(cfg: Config, args) -> int:
         raise SystemExit(str(exc)) from None
     except KeyboardInterrupt:
         return _interrupted(spec)
-    _print_search_summary(result, spec, name)
+    _print_search_summary(result, storage, spec, name)
     return 0
 
 
@@ -408,7 +409,7 @@ def cmd_study_resume(cfg: Config, args) -> int:
         raise SystemExit(str(exc)) from None
     except KeyboardInterrupt:
         return _interrupted(spec)
-    _print_search_summary(result, spec, name)
+    _print_search_summary(result, storage, spec, name)
     return 0
 
 

@@ -415,24 +415,31 @@ def _fold_left(steps, totals=(0.0,) * 7) -> tuple[float, ...]:
     return a, b, c, d, e, f, g
 
 
-def _fold_group(steps) -> tuple[float, ...]:
+def _sum8(t, c1, c2, c3, c4, c5, c6, c7, c8):
+    return (((t + c1) + (c2 + c3)) + ((c4 + c5) + (c6 + c7))) + c8
+
+
+def _sum7(t, c1, c2, c3, c4, c5, c6, c7):
+    return ((t + c1) + (c2 + c3)) + ((c4 + c5) + (c6 + c7))
+
+
+def _fold_group(steps, t_steps: int) -> tuple[float, ...]:
     """The vector engine's fold at S·N = 1: one ``np.add.reduce`` per
     contiguous ``[total, c1..c8]``, which numpy sums pairwise from eight
     elements on, ``((t+c1)+(c2+c3))+((c4+c5)+(c6+c7))`` then ``+ c8``,
-    and left to right below eight.  Fixing that fold (the strict xfail
+    and left to right below eight, over ``t_steps`` step tuples.  Fixing
+    that fold (the strict xfail
     ``test_single_cell_long_horizon_segments_bitwise``) replaces this
     helper with :func:`_fold_left`, and the vector reduce with an ordered
     one."""
+    it = iter(steps)
     totals = (0.0,) * 7
-    while group := list(islice(steps, _FOLD_STEPS)):
-        if len(group) < 7:
-            return _fold_left(group, totals)
-        head = [
-            ((t + c1) + (c2 + c3)) + ((c4 + c5) + (c6 + c7))
-            for t, c1, c2, c3, c4, c5, c6, c7 in zip(totals, *group[:7])
-        ]
-        totals = _fold_left(group[7:], head)
-    return totals
+    for group in islice(zip(it, it, it, it, it, it, it, it), t_steps // _FOLD_STEPS):
+        totals = tuple(map(_sum8, totals, *group))
+    tail = list(it)
+    if len(tail) == _FOLD_STEPS - 1:
+        return tuple(map(_sum7, totals, *tail))
+    return _fold_left(tail, totals)
 
 
 def _segments_scalar(
@@ -528,7 +535,6 @@ def _segments_scalar(
             isl = 1.0 if dfc <= eps_wh else 0.0
             yield dfc, exp_w, pc * dt_h, pd * dt_h, em, cost, isl
 
-    fold = _fold_group if flat == 1 else _fold_left
     totals = np.zeros((8, s, n))
     # Accumulator row of each term: deficit (import, or unserved when
     # islanded), export, charge, discharge, emissions, cost, islanded.
@@ -539,7 +545,7 @@ def _segments_scalar(
         for ni in range(n):
             c, g = float(cap[si, ni]), ni // group
             steps = cell(columns, cr, c, float(kw_u[g]), float(tb_u[g]), si * n + ni)
-            totals[rows, si, ni] = fold(steps)
+            totals[rows, si, ni] = _fold_group(steps, t_steps) if flat == 1 else _fold_left(steps)
     return _dispatch_result(totals, soc_rows)
 
 

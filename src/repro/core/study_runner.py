@@ -80,11 +80,13 @@ def _as_scenarios(scenario: "Scenario | Sequence[Scenario]") -> tuple[Scenario, 
 
 @dataclass
 class SearchResult:
-    """Outcome of a composition search."""
+    """Outcome of a composition search.  From the pipelined driver it has
+    an empty ``evaluated`` and no simulation count: its record is ``study``."""
 
     evaluated: "list[AnyEvaluated]"
     study: Study | None = None
-    n_simulations: int = 0
+    #: unique simulations this run; ``None`` when the driver does not count them
+    n_simulations: "int | None" = 0
     #: trials pruned by the racing engine (0 without ``racing``)
     n_pruned: int = 0
     #: accumulated racing work accounting (None without ``racing``)
@@ -629,7 +631,6 @@ class OptimizationRunner:
             speculate=speculate,
             batch_size=batch,
         )
-        before = self.n_simulations
         dispatcher.optimize(
             objective,
             n_trials,
@@ -638,23 +639,11 @@ class OptimizationRunner:
                 self._fidelity.spec_string() if self._fidelity is not None else None
             ),
         )
-        # Rebuild the evaluation record through the vectorized batch
-        # evaluator (memoized) — COMPLETE trials only, exactly like a
-        # resumed run_blackbox; a raced study's PRUNED trials were never
-        # fully evaluated.
-        comps = [
-            self.space.from_params(t.params)
-            for t in study.trials
-            if t.state == TrialState.COMPLETE
-        ]
-        evaluated = self.evaluate(comps)
-        unique = list({e.composition: e for e in evaluated}.values())
-        n_pruned = sum(1 for t in study.trials if t.state == TrialState.PRUNED)
         return SearchResult(
-            evaluated=unique,
+            evaluated=[],
             study=study,
-            n_simulations=self.n_simulations - before,
-            n_pruned=n_pruned,
+            n_simulations=None,
+            n_pruned=sum(1 for t in study.trials if t.state == TrialState.PRUNED),
         )
 
     # -- search-quality analysis (§4.4) -----------------------------------------

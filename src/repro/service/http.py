@@ -2,10 +2,11 @@
 
 A deliberately small JSON API over ``http.server`` — no web framework,
 matching the repo's no-new-hard-deps precedent (numba is optional, the
-service is plain stdlib).  ``ThreadingHTTPServer`` gives one thread per
-request; whole-study work happens in the service's worker threads and
-remote evaluation in external worker processes, so handlers only
-read/write study metadata, grant leases, and return quickly.
+service is plain stdlib).  ``ThreadingHTTPServer`` gives one (daemon)
+thread per kept-alive HTTP/1.1 *connection*, so per remote worker
+(DESIGN.md §13); whole-study work happens in the service's worker
+threads and remote evaluation in external worker processes, so handlers
+only read/write study metadata, grant leases, and return quickly.
 
 The full route set lives in :data:`ROUTES` — one declarative
 ``(method, path template, handler)`` table that drives dispatch *and*
@@ -46,6 +47,9 @@ from .service import (
 #: longest long poll ``POST /lease`` holds a request thread for, in
 #: seconds, whatever ``wait_s`` the worker asks
 MAX_LEASE_WAIT_S = 10.0
+#: seconds a kept-alive connection may idle before its handler closes
+#: it; above MAX_LEASE_WAIT_S, so a worker between polls keeps it
+IDLE_TIMEOUT_S = 30.0
 
 #: the service API, as data: ``(method, path template, handler name)``.
 #: ``{name}`` segments capture into handler kwargs.  Dispatch iterates
@@ -83,6 +87,10 @@ class StudyServiceHandler(BaseHTTPRequestHandler):
     """Request handler bound to one :class:`StudyService` via subclassing."""
 
     service: StudyService  # injected by make_server()
+    protocol_version = "HTTP/1.1"
+    # Headers and body go out in two sends: Nagle would hold the second.
+    disable_nagle_algorithm = True
+    timeout = IDLE_TIMEOUT_S
 
     # Silence the default stderr access log — the CLI prints one line
     # per lifecycle event instead of one per poll.
@@ -105,18 +113,11 @@ class StudyServiceHandler(BaseHTTPRequestHandler):
     def _error(self, status: int, message: str) -> None:
         self._json(status, {"error": message})
 
-    def _read_json(self) -> Any:
-        length = int(self.headers.get("Content-Length") or 0)
-        raw = self.rfile.read(length) if length else b""
-        if not raw:
-            return {}
+    def _read_object(self, label: str) -> "dict[str, Any]":
         try:
-            return json.loads(raw)
+            document = json.loads(self._body) if self._body else {}
         except json.JSONDecodeError as exc:
             raise ServiceError(f"request body is not valid JSON: {exc}") from None
-
-    def _read_object(self, label: str) -> "dict[str, Any]":
-        document = self._read_json()
         if not isinstance(document, dict):
             raise ServiceError(f"{label} body must be a JSON object")
         return document
@@ -125,6 +126,13 @@ class StudyServiceHandler(BaseHTTPRequestHandler):
 
     def _dispatch(self, method: str) -> None:
         try:
+            # Read the whole body before routing, so an error answered
+            # before a route reads it leaves the connection reusable.
+            length = self.headers.get("Content-Length") or "0"
+            if not length.isdigit():
+                self.close_connection = True  # the body's end is unknown
+                raise ServiceError("bad Content-Length")
+            self._body = self.rfile.read(int(length))
             path = self.path.split("?", 1)[0]
             for route_method, template, name in ROUTES:
                 if route_method != method:
@@ -139,10 +147,12 @@ class StudyServiceHandler(BaseHTTPRequestHandler):
         except StudyConflictError as exc:
             self._error(409, str(exc))
         except ConnectionError:
-            pass  # the client hung up (a worker stopped mid long poll)
+            # the client hung up (a worker stopped mid long poll)
+            self.close_connection = True
         except (ServiceError, ValueError) as exc:
             self._error(400, str(exc))
         except Exception as exc:  # noqa: BLE001 - HTTP boundary: report, don't crash the server thread
+            self.close_connection = True  # a response may be half written
             self._error(500, str(exc))
 
     def do_GET(self) -> None:  # noqa: N802 - http.server API
@@ -182,14 +192,13 @@ class StudyServiceHandler(BaseHTTPRequestHandler):
             raise ServiceError("POST /lease needs a 'worker' id")
         try:
             wait_s = float(document.get("wait_s", 0.0))
-        except (TypeError, ValueError):
-            raise ServiceError("'wait_s' must be a number of seconds") from None
+            limit = int(document.get("limit", 1))
+        except (TypeError, ValueError, OverflowError):
+            raise ServiceError("'wait_s' must be seconds and 'limit' an integer") from None
         self._json(
             200,
             self.service.lease_work(
-                str(worker),
-                int(document.get("limit", 1)),
-                wait_s=min(max(wait_s, 0.0), MAX_LEASE_WAIT_S),
+                str(worker), limit, wait_s=min(max(wait_s, 0.0), MAX_LEASE_WAIT_S)
             ),
         )
 

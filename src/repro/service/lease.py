@@ -263,13 +263,25 @@ class LeasedWorkQueue:
             item = self._items.get(key)
             if item is None or item.done:
                 return False
+            # Decode first: a bad payload raises with the item still leased.
+            decoded_tag, decoded = _decode_outcome(item.kind, str(tag), payload)
             item.done = True
             self._completed += 1
             self._workers[str(owner)] = self._workers.get(str(owner), 0) + 1
             self.leases.release(key)
             del self._items[key]
-        decoded_tag, decoded = _decode_outcome(item.kind, str(tag), payload)
         item.future.set_result((decoded_tag, decoded, float(seconds)))
+        return True
+
+    def accepts(self, key: str, tag: str, payload: Any) -> bool:
+        """Whether ``payload`` decodes as a ``tag`` outcome of item
+        ``key``; unknown or resolved items pass (they are acked stale)."""
+        item = self._items.get(key)
+        try:
+            if item is not None:
+                _decode_outcome(item.kind, tag, payload)
+        except (TypeError, ValueError):
+            return False
         return True
 
     def reclaim_expired(self) -> int:

@@ -27,6 +27,8 @@ racing that reclaim is acknowledged as ``stale`` and discarded — both
 evaluations computed the same deterministic outcome, so first-write-
 wins loses nothing.
 
+All requests share one kept-alive HTTP/1.1 connection (DESIGN.md §13).
+
 Size the TTL above the worst single-item evaluation cost (items are
 acked one at a time, so batch size does not stretch the requirement);
 ``docs/OPERATIONS.md`` covers tuning.
@@ -34,11 +36,12 @@ acked one at a time, so batch size does not stretch the requirement);
 
 from __future__ import annotations
 
+import http.client
+import io
 import json
-import socket
 import time
 import urllib.error
-import urllib.request
+import urllib.parse
 from typing import Any, Callable, Mapping
 
 from ..exceptions import OptimizationError
@@ -90,6 +93,7 @@ class RemoteWorkerClient:
         self.timeout_s = float(timeout_s)
         self._objective_override = objective_override
         self._objectives: "dict[str, Any]" = {}
+        self._connection: "http.client.HTTPConnection | None" = None
         #: items evaluated and accepted / acked stale, for the CLI log
         self.accepted = 0
         self.stale = 0
@@ -97,15 +101,40 @@ class RemoteWorkerClient:
     # -- transport (monkeypatch seams for the kill tests) ----------------------
 
     def _request(self, method: str, path: str, payload: "Mapping[str, Any] | None" = None) -> Any:
-        data = json.dumps(payload).encode() if payload is not None else None
-        request = urllib.request.Request(
-            self.base_url + path,
-            data=data,
-            method=method,
-            headers={"Content-Type": "application/json"} if data else {},
-        )
-        with urllib.request.urlopen(request, timeout=self.timeout_s) as response:
-            return json.loads(response.read().decode())
+        body = json.dumps(payload).encode() if payload is not None else None
+        headers = {"Content-Type": "application/json"} if body else {}
+        url = urllib.parse.urlsplit(self.base_url)
+        while True:
+            reused, response = self._connection is not None, None
+            if not reused:
+                https = url.scheme == "https"
+                connect = http.client.HTTPSConnection if https else http.client.HTTPConnection
+                self._connection = connect(url.netloc, timeout=self.timeout_s)
+            try:
+                self._connection.request(method, url.path + path, body, headers)
+                response = self._connection.getresponse()
+                data = response.read()
+                break
+            except BaseException as exc:
+                self.close()
+                # No response byte on a reused connection: the server
+                # closed it while idle, unread.  Retry once, fresh.
+                if not (reused and response is None and isinstance(exc, ConnectionError)):
+                    raise
+        if response.will_close:
+            self.close()
+        if response.status >= 400:
+            raise urllib.error.HTTPError(
+                self.base_url + path, response.status, response.reason,
+                response.headers, io.BytesIO(data),
+            )
+        return json.loads(data.decode())
+
+    def close(self) -> None:
+        """Close the kept-alive connection; the next request opens one."""
+        if self._connection is not None:
+            self._connection.close()
+            self._connection = None
 
     def _lease(self) -> "dict[str, Any]":
         return self._request(
@@ -178,35 +207,38 @@ class RemoteWorkerClient:
         """
         evaluated = 0
         idle = 0
-        while not (stop_event is not None and stop_event.is_set()):
-            if max_items is not None and evaluated >= max_items:
-                break
-            polled = time.monotonic()
-            try:
-                grant = self._lease()
-            except (urllib.error.URLError, socket.timeout, ConnectionError, OSError):
-                grant = {"study": None, "items": []}
-            study = grant.get("study")
-            items = grant.get("items") or []
-            if not study or not items:
-                idle += 1
-                if max_idle is not None and idle >= max_idle:
-                    break
-                # One poll per poll_s: a long poll has already waited.
-                time.sleep(max(0.0, self.poll_s - (time.monotonic() - polled)))
-                continue
-            idle = 0
-            for item in items:
+        try:
+            while not (stop_event is not None and stop_event.is_set()):
                 if max_items is not None and evaluated >= max_items:
                     break
-                result = self.evaluate_item(study, item)
-                evaluated += 1
+                polled = time.monotonic()
                 try:
-                    ack = self._result(study, result)
-                except (urllib.error.URLError, socket.timeout, ConnectionError, OSError):
-                    continue  # lease will expire; the item is re-dispatched
-                self.accepted += int(ack.get("accepted", 0))
-                self.stale += int(ack.get("stale", 0))
+                    grant = self._lease()
+                except OSError:  # URLError, timeouts and connection errors included
+                    grant = {"study": None, "items": []}
+                study = grant.get("study")
+                items = grant.get("items") or []
+                if not study or not items:
+                    idle += 1
+                    if max_idle is not None and idle >= max_idle:
+                        break
+                    # One poll per poll_s: a long poll has already waited.
+                    time.sleep(max(0.0, self.poll_s - (time.monotonic() - polled)))
+                    continue
+                idle = 0
+                for item in items:
+                    if max_items is not None and evaluated >= max_items:
+                        break
+                    result = self.evaluate_item(study, item)
+                    evaluated += 1
+                    try:
+                        ack = self._result(study, result)
+                    except OSError:
+                        continue  # lease will expire; the item is re-dispatched
+                    self.accepted += int(ack.get("accepted", 0))
+                    self.stale += int(ack.get("stale", 0))
+        finally:
+            self.close()
         return evaluated
 
 

@@ -539,21 +539,25 @@ class StudyService:
         Results for a finished (or never-coordinated-here) study are
         acknowledged as ``stale`` rather than erroring: a worker racing
         a reclaim — or outliving its study — is normal operation, not a
-        fault.
+        fault.  A malformed batch raises :class:`ServiceError` and
+        completes nothing.
         """
         queue = self.work_queue(name)
-        accepted = stale = 0
+        # Check every result before completing any: no half-applied batch.
+        checked = []
         for result in results:
-            ok = queue is not None and queue.complete(
-                str(worker_id),
-                str(result["item"]),
-                str(result["tag"]),
-                result.get("value"),
-                float(result.get("seconds", 0.0)),
-            )
-            accepted += bool(ok)
-            stale += not ok
-        return {"study": name, "accepted": accepted, "stale": stale}
+            if not isinstance(result, Mapping) or not {"item", "tag"} <= result.keys():
+                raise ServiceError("each result must be an object with 'item' and 'tag'")
+            try:
+                seconds = float(result.get("seconds", 0.0))
+            except (TypeError, ValueError):
+                raise ServiceError("a result's 'seconds' must be a number") from None
+            key, tag, value = str(result["item"]), str(result["tag"]), result.get("value")
+            if queue is not None and not queue.accepts(key, tag, value):
+                raise ServiceError(f"result {key!r} has a malformed {tag!r} value")
+            checked.append((key, tag, value, seconds))
+        oks = [queue is not None and queue.complete(str(worker_id), *c) for c in checked]
+        return {"study": name, "accepted": sum(oks), "stale": len(oks) - sum(oks)}
 
     # -- the worker loop ------------------------------------------------------
 

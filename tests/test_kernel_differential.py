@@ -681,6 +681,29 @@ class TestNarrowPath:
                     got = ufunc(np.full(width, a), np.full(width, b))
                     assert_bitwise(got, np.full(width, want), f"{ufunc.__name__}({a}, {b})")
 
+    def test_fold_group_is_numpy_group_reduce(self):
+        """``kernel._fold_group`` against numpy itself: one
+        ``np.add.reduce`` over each contiguous ``[total, c1..c8]``, as the
+        vector step folds at S·N = 1.  Every horizon 0..40 (so every tail
+        length, the pairwise 7-step tail included), magnitudes 1e-3..1e9
+        of either sign, and ±0.0, NaN and ±inf mixed in."""
+        rng = np.random.default_rng(22_000)
+        specials = np.array([0.0, -0.0, np.nan, np.inf, -np.inf])
+        for draw in range(41 * 40):
+            t = draw % 41
+            steps = rng.uniform(-3.0, 9.0, (t, 7))
+            steps = 10.0**steps * rng.choice([-1.0, 1.0], (t, 7))
+            special = rng.random((t, 7)) < (draw % 4) * 0.05
+            steps[special] = rng.choice(specials, int(special.sum()))
+            want = np.zeros(7)
+            with np.errstate(invalid="ignore"):  # inf - inf is part of the draw
+                for g0 in range(0, t, kernel._FOLD_STEPS):
+                    for j in range(7):
+                        group = np.concatenate(([want[j]], steps[g0 : g0 + 8, j]))
+                        want[j] = np.add.reduce(group)
+            got = kernel._fold_group(iter(map(tuple, steps.tolist())), t)
+            assert_bitwise(got, want, f"T={t} draw {draw}")
+
 
 # -- engine selection semantics ----------------------------------------------
 

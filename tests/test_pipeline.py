@@ -217,6 +217,69 @@ class TestSpeculativeDeterminism:
                 assert attrs[PARENT_EPOCH_ATTR] == generation * BATCH
 
 
+class TestNoEndOfRunReevaluation:
+    """The told trials are the pipelined driver's record: nothing is
+    re-simulated once the dispatcher returns, and the CLI summary prints
+    only what the run measured."""
+
+    def test_no_evaluation_after_the_dispatcher_returns(self, houston_month, monkeypatch):
+        from repro.core import study_runner
+
+        returned, calls = [], []
+        optimize = PipelinedDispatcher.optimize
+
+        def spied_optimize(self, *args, **kwargs):
+            try:
+                return optimize(self, *args, **kwargs)
+            finally:
+                returned.append(True)
+
+        def spy(name, function):
+            def wrapper(*args, **kwargs):
+                calls.append((name, bool(returned)))
+                return function(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(PipelinedDispatcher, "optimize", spied_optimize)
+        monkeypatch.setattr(
+            study_runner,
+            "evaluate_across_scenarios",
+            spy("evaluate_across_scenarios", study_runner.evaluate_across_scenarios),
+        )
+        monkeypatch.setattr(
+            OptimizationRunner, "evaluate", spy("evaluate", OptimizationRunner.evaluate)
+        )
+        result = OptimizationRunner(houston_month, space=RACE_SPACE).run_pipelined(
+            n_trials=20,
+            sampler=NSGA2Sampler(population_size=10, seed=42),
+            executor="serial",
+        )
+        assert returned and calls, "the spies saw no evaluation at all"
+        assert [name for name, late in calls if late] == []
+        assert len(result.study.trials) == 20
+        assert result.evaluated == [] and result.n_simulations is None
+
+    def test_study_run_prints_the_stored_front_size(self, tmp_path, capsys):
+        import re
+
+        from repro.cli import main
+
+        store = str(tmp_path / "piped.jsonl")
+        assert main(
+            ["study", "run", "--storage", store, "--site", "houston", "--trials", "20",
+             "--population", "10", "--seed", "7", "--set", "scenario.n_hours=720",
+             "--pipeline"]
+        ) == 0
+        run_out = capsys.readouterr().out
+        assert main(["study", "status", "--storage", store]) == 0
+        status_out = capsys.readouterr().out
+        sizes = re.findall(r"front size (\d+)", run_out)
+        assert sizes and int(sizes[0]) > 0
+        assert sizes == re.findall(r"front size (\d+)", status_out)
+        assert "simulations" not in run_out  # the pipelined driver counts none
+
+
 class TestPipelineSpec:
     def test_round_trip(self):
         assert parse_pipeline_spec(pipeline_spec_string(3)) == 3

@@ -11,9 +11,13 @@ The distributed half of the pipelined dispatcher, end to end:
   the survivor, and the study converges to the identical front with
   **no manual resume**, on journal and SQLite backends;
 * the lease/worker HTTP verbs themselves (spec documents, grants,
-  stale acks, validation errors).
+  stale acks, validation errors);
+* **transport** — one kept-alive connection per worker: error answers
+  leave it usable, the server may drop it while idle, and neither an
+  idle nor a long-polling connection stalls the server's shutdown.
 """
 
+import http.client
 import json
 import os
 import signal
@@ -32,7 +36,13 @@ import pytest
 
 from repro.cli import main
 from repro.core.study_spec import StudySpec
-from repro.service import RemoteWorkerClient, StudyService, front_csv, remote_worker
+from repro.service import (
+    RemoteWorkerClient,
+    ServiceError,
+    StudyService,
+    front_csv,
+    remote_worker,
+)
 from repro.service.http import make_server
 from repro.service.lease import LeasedWorkQueue
 
@@ -60,6 +70,25 @@ def _serve(service):
     ).start()
     host, port = server.server_address[:2]
     return server, f"http://{host}:{port}"
+
+
+def _count_connections(server):
+    """Lists of the TCP connections ``server`` accepts and closes,
+    appended as they happen (wrap before the first connection)."""
+    opened, closed = [], []
+    accept, close = server.process_request, server.shutdown_request
+    server.process_request = lambda request, address: (
+        opened.append(address), accept(request, address)
+    )
+    server.shutdown_request = lambda request: (closed.append(request), close(request))
+    return opened, closed
+
+
+def _until(condition, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while not condition() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return condition()
 
 
 def _reference_front(spec: StudySpec, name: str) -> str:
@@ -251,6 +280,128 @@ class TestLongPoll:
         monkeypatch.setattr(client, "_lease", lease)
         assert client.run(max_idle=4) == 0
         assert fake.sleeps == [0.0, pytest.approx(0.3), 0.5]
+
+
+JSON = {"Content-Type": "application/json"}
+
+
+class TestPersistentConnection:
+    """One kept-alive HTTP/1.1 connection per worker (DESIGN.md §13)."""
+
+    def test_a_remote_study_opens_at_most_two_connections_per_worker(self):
+        service = StudyService("memory://")
+        service.submit(StudySpec(remote_slots=2, lease_ttl=60.0, **SMALL), "dist")
+        server, base = _serve(service)
+        opened, _ = _count_connections(server)
+        coordinator = threading.Thread(target=service.worker_loop, daemon=True)
+        coordinator.start()
+        stop = threading.Event()
+        client = RemoteWorkerClient(base, "w0", poll_s=0.05)
+        worker = threading.Thread(
+            target=client.run, kwargs={"stop_event": stop}, daemon=True
+        )
+        worker.start()
+        coordinator.join(timeout=240)
+        stop.set()
+        worker.join(timeout=30)
+        try:
+            assert not coordinator.is_alive(), "coordinator did not finish"
+            assert not worker.is_alive(), "worker did not stop"
+            assert service.status("dist")["leases"]["completed"] == SMALL["n_trials"]
+            assert 1 <= len(opened) <= 2, opened
+        finally:
+            server.shutdown()
+            server.server_close()
+
+    def test_error_answers_leave_the_connection_usable(self, monkeypatch):
+        """A 404 and a 400 answered before any route read the request
+        body; the next request on the same connection still parses."""
+        service = StudyService("memory://")
+        service.submit(StudySpec(**SMALL), "s1")
+
+        def refuse(name):
+            raise ServiceError("refused before reading the body")
+
+        monkeypatch.setattr(service, "cancel", refuse)
+        server, _ = _serve(service)
+        opened, _ = _count_connections(server)
+        connection = http.client.HTTPConnection(*server.server_address[:2], timeout=10)
+        body = json.dumps({"worker": "w1", "padding": "x" * 300})
+        try:
+            for path, status in (("/no/such/route", 404), ("/studies/s1/cancel", 400)):
+                connection.request("POST", path, body, JSON)
+                response = connection.getresponse()
+                assert response.status == status
+                assert "error" in json.loads(response.read())
+                connection.request("POST", "/lease", body, JSON)
+                response = connection.getresponse()
+                assert response.status == 200
+                assert json.loads(response.read())["items"] == []
+            assert len(opened) == 1
+        finally:
+            connection.close()
+            server.shutdown()
+            server.server_close()
+
+    def test_close_does_not_wait_on_idle_or_polling_connections(self, monkeypatch):
+        service = StudyService("memory://")
+        _coordinated(service)  # an empty live queue: POST /lease long-polls
+        polling = threading.Event()
+        lease_work = service.lease_work
+
+        def signalled(*args, **kwargs):
+            polling.set()
+            return lease_work(*args, **kwargs)
+
+        monkeypatch.setattr(service, "lease_work", signalled)
+        server, _ = _serve(service)
+        address = server.server_address[:2]
+        idle = http.client.HTTPConnection(*address, timeout=10)
+        poller = http.client.HTTPConnection(*address, timeout=10)
+        try:
+            idle.request("GET", "/studies")
+            assert idle.getresponse().read()
+            poller.request("POST", "/lease", json.dumps({"worker": "w1", "wait_s": 5.0}), JSON)
+            assert polling.wait(5.0)
+            closer = threading.Thread(
+                target=lambda: (server.shutdown(), server.server_close()), daemon=True
+            )
+            started = time.monotonic()
+            closer.start()
+            closer.join(timeout=2.0)
+            assert not closer.is_alive() and time.monotonic() - started < 2.0
+        finally:
+            idle.close()
+            poller.close()
+
+    def test_worker_keeps_leasing_after_the_server_drops_its_connection(self):
+        service = StudyService("memory://")
+        server, base = _serve(service)
+        opened, closed = _count_connections(server)
+        server.RequestHandlerClass.timeout = 0.2  # this server's idle timeout only
+        client = RemoteWorkerClient(base, "w1", poll_s=0.0)
+        try:
+            assert client._lease()["items"] == []
+            assert _until(lambda: len(closed) == 1), "the server kept the idle connection"
+            assert client._lease()["items"] == []  # retried once, on a fresh connection
+            assert len(opened) == 2
+        finally:
+            client.close()
+            server.shutdown()
+            server.server_close()
+
+    def test_run_closes_its_connection_on_return(self):
+        service = StudyService("memory://")
+        server, base = _serve(service)
+        opened, closed = _count_connections(server)
+        client = RemoteWorkerClient(base, "w1", poll_s=0.0)
+        try:
+            assert client.run(max_idle=3) == 0
+            assert _until(lambda: len(closed) == len(opened))
+            assert len(opened) == 1
+        finally:
+            server.shutdown()
+            server.server_close()
 
 
 class TestRemoteParity:

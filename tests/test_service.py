@@ -9,6 +9,7 @@ both the journal and sqlite backends.
 """
 
 import dataclasses
+import http.client
 import json
 import os
 import random
@@ -38,6 +39,7 @@ from repro.service import (
     study_status_document,
 )
 from repro.service.http import make_server
+from repro.service.lease import LeasedWorkQueue
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -282,6 +284,69 @@ class TestHttpApi:
         for body in ([1, 2], "houston", 7):
             assert _post_status(f"{base}/studies", body) == 400
         assert {201, 400} <= statuses  # the fuzz reaches both outcomes
+
+    def test_fuzzed_lease_and_result_bodies_are_400_on_a_kept_connection(
+        self, http_service
+    ):
+        """Seeded body fuzz of the worker verbs against a live queue:
+        every malformed ``POST /lease`` or ``POST /studies/{name}/results``
+        body is a 400 that completes nothing, and the same kept-alive
+        connection then serves a valid request."""
+        service, base = http_service
+        queue = LeasedWorkQueue(ttl=60.0)
+        service.register_work_queue("s1", queue)
+        queue.submit_trial({"x": 1})
+        (item,) = service.lease_work("w1")["items"]
+        key = item["item"]
+        good = {"item": key, "tag": "ok", "value": [1.0, 2.0], "seconds": 0.5}
+        bad_entries = [
+            None, 7, "x", [], {}, {"item": key}, {"tag": "ok"},
+            *({**good, "seconds": v} for v in (None, [], {}, "x")),
+            *({**good, "value": v} for v in (None, "x", 5, [[1.0]], [None], {"a": 1})),
+        ]
+        bad_lease_fields = {
+            "worker": [None, "", 0, False],
+            "limit": [None, "x", "", float("inf"), float("nan"), [], [1], {}],
+            "wait_s": [None, "x", "", [], {}],
+        }
+        rng = random.Random(20261019)
+        bodies = []
+        for _ in range(60):
+            field = rng.choice(sorted(bad_lease_fields))
+            lease = {"worker": "w2", "wait_s": 0.0, field: rng.choice(bad_lease_fields[field])}
+            bodies.append(("/lease", lease))
+            entries = [dict(good)] * rng.randint(0, 2)
+            entries.insert(rng.randint(0, len(entries)), rng.choice(bad_entries))
+            bodies.append(("/studies/s1/results", {"worker": "w1", "results": entries}))
+        bodies += [("/lease", [1, 2]), ("/studies/s1/results", "x")]
+        bodies += [
+            ("/studies/s1/results", {"worker": "w1", "results": v}) for v in ("x", 5, {}, None)
+        ]
+        host, port = base.rsplit("/", 1)[1].split(":")
+        connection = http.client.HTTPConnection(host, int(port), timeout=10)
+        headers = {"Content-Type": "application/json"}
+        try:
+            connection.request("GET", "/studies")
+            connection.getresponse().read()
+            sock = connection.sock
+            for path, body in bodies:
+                connection.request("POST", path, json.dumps(body), headers)
+                response = connection.getresponse()
+                assert response.status == 400, (path, body, response.read())
+                assert "error" in json.loads(response.read())
+                connection.request("POST", "/lease", json.dumps({"worker": "w2"}), headers)
+                response = connection.getresponse()
+                assert response.status == 200 and json.loads(response.read())["items"] == []
+                assert connection.sock is sock, "the server closed the connection"
+            assert queue.stats()["completed"] == 0  # no batch half-applied
+            connection.request(
+                "POST", "/studies/s1/results",
+                json.dumps({"worker": "w1", "results": [good]}), headers,
+            )
+            response = connection.getresponse()
+            assert json.loads(response.read())["accepted"] == 1
+        finally:
+            connection.close()
 
     @pytest.mark.parametrize("scheme", ["journal", "sqlite"])
     def test_http_submission_matches_cli_front_bit_for_bit(self, tmp_path, scheme):
