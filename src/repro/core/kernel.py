@@ -9,16 +9,22 @@ through it.  This module provides two drop-in replacements that compute
     A pure-numpy reformulation, always available.  The policy decision is
     *lowered* ahead of time to a numeric mode table (one of three request
     modes per (step, scenario) — see :func:`lower_policy`), which turns
-    the per-step policy callback into array masking.  The battery
-    recurrence itself stays sequential (SoC couples consecutive steps),
-    but everything around it is restructured for throughput:
+    the per-step policy callback into array masking.  SoC couples
+    consecutive steps; everything is restructured for throughput:
 
+    * the battery recurrence runs in time lanes: each window of the
+      horizon is cut into lanes that step side by side, each from a
+      guessed energy some steps before its boundary.  A lane whose
+      energy at its boundary has the bits of the previous lane's end is
+      exact from there; the cells that differ are re-run on scalars.
+      Each step's flows are then rebuilt from the checked energies;
     * time steps are processed in chunks — the net-load/request prologue
       and the grid/cost/emissions epilogue run once per chunk over
       ``(chunk, S, N)`` tensors instead of once per step.  The chunk is
       sized from the call's width (64 steps for narrow calls, 8 for wide
-      ones); the per-step contributions are folded into the totals in
-      fixed 8-step groups, whatever the chunk;
+      ones); the per-step contributions are folded into the totals left
+      to right (in fixed 8-step groups at S·N = 1, where numpy's reduce
+      is pairwise);
     * the paper's candidate grid repeats each (solar, wind) pair over the
       battery axis, so net load is computed on the ~9× smaller set of
       unique pairs and broadcast back;
@@ -29,9 +35,9 @@ through it.  This module provides two drop-in replacements that compute
       operation writes into preallocated buffers (zero allocations in
       the inner loop).  An hourly step costs 18 ufunc calls;
     * those 18 dispatches cost about the same at any narrow width, so a
-      float64 call of at most ``_SCALAR_CELLS`` cells (a one-candidate
-      remote evaluation, say) runs the same operations cell by cell on
-      Python floats instead, with the same bits.
+      float64 one-cell call (a one-candidate remote evaluation, say)
+      runs the same operations on Python floats instead, with the same
+      bits.
 
     Each replaced expression is an exact floating-point identity of the
     reference loop's (same IEEE-754 operations, same order), so the
@@ -65,6 +71,7 @@ unchanged after float64 promotion).
 from __future__ import annotations
 
 from itertools import islice
+from math import copysign
 
 import numpy as np
 
@@ -313,17 +320,55 @@ _FOLD_STEPS = 8
 _CHUNK_CELLS = 4096
 #: Longest prologue/epilogue chunk, in steps.
 _CHUNK_MAX_STEPS = 64
+#: Cell budget (steps × lanes × S·N) of one lane-prologue chunk buffer.
+_LANE_CHUNK_CELLS = 4096
+#: Trajectory cells (steps × S·N) of one lane window: 480 KiB in float64.
+#: A 512 KiB budget measured +1.0 MB of ensemble_ladder peak RSS, this one
+#: +0.36 MB.
+_LANE_WINDOW_CELLS = 61440
+#: Most lanes, cells per lane step, and steps each lane warms up for.
+_LANES_MAX = 16
+_LANE_STEP_CELLS = 1024
+_LANE_OVERLAP = 64
+#: Widest call (S·N) run in lanes.  Past it a step's cost grows with its
+#: cells more than lanes save in dispatches: one lane against the best
+#: lane count, ms, 720 steps: 80 cells 13.8 / 10.7, 100 cells 15.3 / 15.4,
+#: 128 cells 18.9 / 21.2; full year: 100 cells 140 / 100, 128 cells
+#: 135 / 139, 160 cells 134 / 159.
+_LANE_MAX_CELLS = 100
 #: Widest float64 call (S·N cells) that runs on the scalar path.  Full-year
-#: Houston calls, best of 5, vector / scalar ms, on a shared 2-vCPU x86-64
-#: host (CPython 3.11, numpy 2.4; vector S·N = 1 is the in-place step):
+#: Houston calls, best of 5, vector (in 16 time lanes) / scalar ms, on a
+#: shared 2-vCPU x86-64 host (CPython 3.11, numpy 2.4):
 #:
-#:   S·N         1          2         3         4         6         8
-#:   untraced  138 / 10   78 / 19   85 / 28   92 / 38   90 / 59   85 / 77
-#:   traced    147 / 10   90 / 20   92 / 33  122 / 53   91 / 52  104 / 95
+#:   S·N          1          2          3          4          6          8
+#:   untraced  13.5 / 10   16.8 / 18  16.9 / 28  28.6 / 62  21.4 / 70  29.7 / 98
+#:   traced    14.4 / 12   16.6 / 21  21.1 / 35  19.4 / 48  25.7 / 78  38.1 / 123
 #:
-#: A repeat ran 10-40 % slower throughout (host drift), same ratios: the
-#: scalar path wins clearly up to 6 cells and about ties at 8.
-_SCALAR_CELLS = 6
+#: The lanes' vector step wins from two cells on; one cell stays scalar.
+_SCALAR_CELLS = 1
+
+
+def _lane_plan(t_steps: int, flat: int) -> tuple[int, int, int]:
+    """Lanes, overlap and window (steps) of a vector call T steps and
+    S·N = ``flat`` cells wide.
+
+    The window holds ``_LANE_WINDOW_CELLS`` trajectory cells.  The lane
+    count is the largest power of two up to ``_LANES_MAX`` whose lane
+    step stays within ``_LANE_STEP_CELLS`` cells and whose lanes are at
+    least ``_LANE_OVERLAP`` steps long: wider steps cost about as much
+    per cell as the sequential ones, and shorter lanes spend most of
+    their steps warming up.  Calls wider than ``_LANE_MAX_CELLS`` get one
+    lane: the sequential step.
+    """
+    window = max(_FOLD_STEPS, _LANE_WINDOW_CELLS // flat // _FOLD_STEPS * _FOLD_STEPS)
+    long_enough = (min(window, t_steps) - _LANE_OVERLAP) // _LANE_OVERLAP
+    fit = min(_LANES_MAX, _LANE_STEP_CELLS // flat, long_enough)
+    if flat > _LANE_MAX_CELLS:
+        fit = 1
+    lanes = 1
+    while lanes * 2 <= fit:
+        lanes *= 2
+    return lanes, _LANE_OVERLAP, window
 
 
 def _chunk_steps(flat: int) -> int:
@@ -354,8 +399,9 @@ def run_dispatch_segments(
     Restructures :func:`repro.core.dispatch.run_dispatch` around a mode
     table (policy decisions precomputed for all steps), keeping every
     floating-point operation IEEE-identical to the loop.  Float64 calls
-    of at most ``_SCALAR_CELLS`` cells run :func:`_segments_scalar`, all
-    others :func:`_segments_vector`; both return the same bits.
+    of at most ``_SCALAR_CELLS`` (one) cells run :func:`_segments_scalar`,
+    all others :func:`_segments_vector`, whose battery recurrence runs in
+    the time lanes :func:`_lane_plan` picks; both return the same bits.
     ``dtype=np.float32`` selects the non-bitwise racing fast path.
     ``trace_soc`` records the per-step SoC as the loop does, returned as
     an ``(S, N, T+1)`` view of one time-major buffer.
@@ -560,9 +606,96 @@ def _segments_vector(
     dtype: "np.dtype | type" = np.float64,
     trace_soc: bool = False,
 ) -> DispatchResult:
-    """The segments engine's vector step, over all S·N cells at once.  The
-    chunk length follows the call's width (:func:`_chunk_steps`); the fold
-    groups are ``_FOLD_STEPS`` steps at any chunk, so results do not."""
+    """The segments engine's vector step, over all S·N cells at once, in
+    the time lanes :func:`_lane_plan` picks for the call's T and S·N
+    (:func:`_segments_lanes`; one lane is the plain sequential step)."""
+    lanes, overlap, window = _lane_plan(stack.n_steps, stack.n_scenarios * int(solar_kw.size))
+    return _segments_lanes(
+        stack, solar_kw, turbine_factor, capacity_wh, params, initial_soc, policy, dtype,
+        trace_soc, lanes, overlap, window,
+    )
+
+
+def _rerun(e, sol, wind, load, modes, stored, kw, tb, k, dt_h) -> list:
+    """Re-run one cell's steps from its true energy ``e``.
+
+    The vector step's operations on scalars, as :func:`_segments_scalar`
+    writes them (``k`` holds the cell's workspace constants), over the
+    cell's profile and mode columns, until a step's energy has the bit
+    pattern ``stored`` holds for it: from there on the stored energies
+    are exact.  Returns the energies after each step before that one
+    (all of them if none matched), which replace the stored ones.
+    """
+    e_max, e_min, d_lim, eta_d, p_cap, safe, span, eta_c, decay, soc_max = k
+    out = []
+    for sol_w, wind_w, load_w, mode, s in zip(sol, wind, load, modes, stored):
+        net = sol_w * kw + wind_w * tb - load_w
+        rp = net if net > 0.0 or net != net else 0.0
+        rn = rp - net if mode == MODE_GREEDY else 0.0
+        if mode == MODE_UNLIMITED:
+            rp = UNLIMITED_CHARGE_W
+        e *= decay
+        taper = (soc_max - e / safe) / span
+        head = e_max - e
+        avail = e - e_min
+        avail = avail if avail > 0.0 or avail != avail else 0.0
+        taper = taper if taper > 0.0 or taper != taper else 0.0
+        head /= dt_h
+        avail /= dt_h
+        head /= eta_c
+        taper = taper if taper < 1.0 or taper != taper else 1.0
+        avail *= eta_d
+        p_lim = taper * p_cap
+        head = p_lim if p_lim < head or p_lim != p_lim else head
+        avail = d_lim if d_lim < avail or d_lim != d_lim else avail
+        pc = rp if rp < head or rp != rp else head
+        pd = rn if rn < avail or rn != rn else avail
+        e = e + pc * eta_c * dt_h - pd * dt_h / eta_d
+        e = e if e > 0.0 or e != e else 0.0
+        e = e if e < e_max or e != e else e_max
+        # Same bit pattern, tested without packing each step: equal
+        # values with the same sign bit, or two NaNs with equal bytes.
+        if e == s:
+            if e != 0.0 or copysign(1.0, e) == copysign(1.0, s):
+                break
+        elif e != e and s != s and np.asarray(e).tobytes() == np.asarray(s).tobytes():
+            break
+        out.append(e)
+    return out
+
+
+def _segments_lanes(
+    stack: ScenarioStack,
+    solar_kw: np.ndarray,
+    turbine_factor: np.ndarray,
+    capacity_wh: np.ndarray,
+    params: CLCParameters,
+    initial_soc: float,
+    policy: VectorizedPolicy | None,
+    dtype: "np.dtype | type",
+    trace_soc: bool,
+    lanes: int,
+    overlap: int,
+    window: int,
+    guess: "np.ndarray | float | None" = None,
+) -> DispatchResult:
+    """The vector step in time lanes (DESIGN.md §9), bit for bit the
+    sequential step at any ``lanes``, ``overlap`` and ``window``.
+
+    The horizon runs in windows of ``window`` steps (rounded up to whole
+    fold groups), which bound the recorded trajectory.  In a window, the
+    battery recurrence runs ``lanes`` lanes side by side as lanes·S·N
+    cells, one lane every L steps: lane 0 from the window's checked start
+    energy, lane j ≥ 1 from ``guess`` (default: that start energy),
+    ``overlap`` steps before its boundary.  Each cell's energy is all a
+    step hands to the next, so where lane j's energy at its boundary has
+    the bits of lane j−1's checked end, lane j is exact; the other cells
+    are re-run (:func:`_rerun`) from the true energy until they meet the
+    lane's own.  Then each chunk, in time order, runs the net-load
+    prologue, rebuilds its steps' charge and discharge from the checked
+    trajectory with the step's own operations (vectorized over time),
+    and runs the epilogue and the ``_FOLD_STEPS`` fold.
+    """
     policy, table = _lowered(policy, stack)
     f = np.dtype(dtype)
     if f not in (np.dtype(np.float64), np.dtype(np.float32)):
@@ -576,6 +709,16 @@ def _segments_vector(
     unit_dt = dt_h == 1.0
     flat = s * n
     blk = _chunk_steps(flat)
+    if lanes == 1:
+        window = blk  # one lane steps chunk by chunk, as the sequential step does
+    # At S·N > 1 numpy reduces the fold's (outer) step axis left to right,
+    # so one reduce over a whole chunk adds exactly as _FOLD_STEPS-step
+    # groups do; at S·N = 1 it sums pairwise, and the group is part of
+    # the sums.
+    fold = _FOLD_STEPS if flat == 1 else blk
+    window = _FOLD_STEPS * max(1, -(-min(window, t_steps) // _FOLD_STEPS))
+    # Steps per lane-prologue chunk.
+    lane_blk = blk if lanes == 1 else max(1, _LANE_CHUNK_CELLS // (lanes * flat))
 
     cap = np.asarray(capacity_wh, dtype=np.float64)
     safe_cap = np.maximum(cap, 1e-12)
@@ -591,66 +734,96 @@ def _segments_vector(
     kw_u = kw_u.astype(f, copy=False)
     tb_u = tb_u.astype(f, copy=False)
 
-    # Battery workspace: one row per per-candidate state/constant, flat
-    # (S·N) so adjacent rows can share fused ufunc calls below.  Scalars
-    # enter the step as constant rows too: a ufunc with two array
-    # operands dispatches about twice as fast as one with a Python float.
+    # Battery workspace: one (lanes, S·N) row per per-cell state/constant,
+    # so adjacent rows can share fused ufunc calls below.  Scalars enter
+    # the step as constant rows too: a ufunc with two array operands
+    # dispatches about twice as fast as one with a Python float.
     #   0 e_max | 1 energy | 2 e_min | 3 headroom | 4 available
     #   5 taper, then p_lim | 6 discharge limit | 7 eta_d | 8 cap·c_rate
     #   9 safe_cap | 10 span | 11 eta_c | 12 decay | 13 soc_max
-    #   14, 15 zero | 16 one | 17, 18 dt_h
-    work = np.empty((19, flat), dtype=f)
+    #   14, 15 zero | 16 one | 17, 18 dt_h | 19 charge | 20 discharge
+    work = np.empty((21, lanes, flat), dtype=f)
 
-    def _fill(row: int, values: "np.ndarray | float") -> None:
-        np.copyto(work[row], np.broadcast_to(np.asarray(values, dtype=f), (s, n)).reshape(-1))
+    def _cells(values: "np.ndarray | float") -> np.ndarray:
+        return np.broadcast_to(np.asarray(values, dtype=f), (s, n)).reshape(-1)
 
-    _fill(0, cap * params.soc_max)
-    _fill(1, cap * soc0)
-    _fill(2, cap * params.soc_min)
-    _fill(6, cap * params.max_discharge_c_rate)
-    work[7] = params.eta_discharge
-    _fill(8, cap * params.max_charge_c_rate)
-    _fill(9, safe_cap)
-    work[10] = max(params.soc_max - params.taper_soc_threshold, 1e-9)
-    work[11] = params.eta_charge
-    work[12] = 1.0 - params.self_discharge_per_hour * dt_h
-    work[13] = params.soc_max
-    work[14:16] = 0.0
-    work[16] = 1.0
-    work[17:19] = dt_h
-
-    e_max, energy, head, avail, taper = work[0], work[1], work[3], work[4], work[5]
-    etad_f, safe_f, span_f, etac_f = work[7], work[9], work[10], work[11]
-    decay_f, socmax_f, zero_f, one_f, dt_f = work[12], work[13], work[14], work[16], work[17]
-    # Fused row pairs, each ONE two-row ufunc call per step:
-    #   (head, avail) = (e_max, energy) − (energy, e_min)
-    #   (avail, taper) = max((avail, taper), 0)
-    #   (avail, p_lim) = (avail, taper) · (eta_d, cap·c_rate)
-    #   (head, avail) = min((p_lim, d_lim), (head, avail))
-    # and, off the hour, (head, avail) /= dt_h.
-    rows_eh = work[0:2]
-    rows_ee = work[1:3]
-    rows_ha = work[3:5]
-    rows_at = work[4:6]
-    rows_pd = work[5:7]
-    rows_dc = work[7:9]
-    zero2 = work[14:16]
-    dt2 = work[17:19]
+    for row, values in (
+        (0, cap * params.soc_max),
+        (2, cap * params.soc_min),
+        (6, cap * params.max_discharge_c_rate),
+        (7, params.eta_discharge),
+        (8, cap * params.max_charge_c_rate),
+        (9, safe_cap),
+        (10, max(params.soc_max - params.taper_soc_threshold, 1e-9)),
+        (11, params.eta_charge),
+        (12, 1.0 - params.self_discharge_per_hour * dt_h),
+        (13, params.soc_max),
+        (14, 0.0),
+        (15, 0.0),
+        (16, 1.0),
+        (17, dt_h),
+        (18, dt_h),
+    ):
+        np.copyto(work[row], _cells(values))
+    # Lane 0's per-cell rows and the call's scalars in dtype f, for the
+    # time-vectorized pass.
+    emax0, emin0, dlim0, pcap0, safe0 = work[(0, 2, 6, 8, 9), 0]
+    etad_s, span_s, etac_s, decay_s, socmax_s, dt_s = work[(7, 10, 11, 12, 13, 17), 0, 0]
+    zero_s, one_s = f.type(0.0), f.type(1.0)
+    # Re-runs read Python floats (through a memoryview) in float64, and
+    # numpy float32 scalars, so float32 arithmetic, otherwise.
+    scalars = memoryview if f == np.float64 else np.asarray
+    rerun_consts = [scalars(r) for r in work[(0, 2, 6, 7, 8, 9, 10, 11, 12, 13), 0]]
+    rerun_dt = scalars(work[17, 0])[0]
+    kw_s, tb_s = scalars(kw_u), scalars(tb_u)
+    bits = np.dtype(f"u{f.itemsize}")
 
     eps_wh = ISLANDED_EPS_W * dt_h
 
-    sol_t, wind_t, load_t, ci_t, price_t = _time_major(stack, f)
+    profiles = _time_major(stack, f)
+    sol_t, wind_t, load_t, ci_t, price_t = profiles
     credit = stack.export_credit_usd_kwh.astype(f, copy=False)
 
     has_modes = bool(table.any())
     charge_only = table == MODE_CHARGE_ONLY if has_modes else None
     unlimited = table == MODE_UNLIMITED if has_modes else None
 
+    mul, div, sub, add = np.multiply, np.divide, np.subtract, np.add
+    mx, mn = np.maximum, np.minimum
+
+    def prologue(sol, wind, load, m1, m2, net, rp, rn, net_u, rp_u, rn_u):
+        """Net load and request decomposition over (…, S) profile rows.
+        request = net (greedy) lowered to rp = max(net, 0), rn = rp − net
+        (≡ max(−net, 0)); CHARGE_ONLY zeroes rn; UNLIMITED sets rp = +inf."""
+        mul(sol[..., None], kw_u, net_u)
+        mul(wind[..., None], tb_u, rn_u)
+        add(net_u, rn_u, net_u)
+        sub(net_u, load[..., None], net_u)
+        mx(net_u, 0.0, out=rp_u)
+        sub(rp_u, net_u, rn_u)
+        if m1 is not None and m1.any():
+            rn_u[m1] = 0.0
+        if m2 is not None and m2.any():
+            rp_u[m2] = UNLIMITED_CHARGE_W
+            rn_u[m2] = 0.0
+        if grouped:
+            np.copyto(net, net_u[..., None])
+            np.copyto(rp, rp_u[..., None])
+            np.copyto(rn, rn_u[..., None])
+
+    def buffers(shape):
+        """net, rp, rn (shape + (S, N)) and their unique-pair views."""
+        full = np.empty((3, *shape, s, n), dtype=f)
+        if not grouped:
+            return (*full, *full)
+        uniq = np.empty((3, *shape, s, u), dtype=f)
+        return (*full.reshape(3, *shape, s, u, group), *uniq)
+
     # Accumulator rows (matching the reference loop's += order):
     #   0 import | 1 export | 2 charge | 3 discharge | 4 unserved
     #   5 emissions | 6 cost | 7 islanded steps
     # Each chunk writes per-step contributions into contrib[:, 1:b+1] and
-    # folds them _FOLD_STEPS at a time: the running total goes into the
+    # folds them `fold` steps at a time: the running total goes into the
     # column just before the group, and one add.reduce sums the group.
     n_acc = 8
     totals = np.zeros((n_acc, s, n), dtype=f)
@@ -658,134 +831,269 @@ def _segments_vector(
     contrib[0 if islanded else 4] = 0.0  # inactive import/unserved row
     if islanded:
         contrib[5] = 0.0  # no grid import → no operational emissions
-
-    # Chunk scratch. rn doubles as scratch in the prologue, rp/rn as kWh
-    # scratch in the epilogue, and net holds the residual there.
-    net = np.empty((blk, s, n), dtype=f)
-    rp = np.empty((blk, s, n), dtype=f)
-    rn = np.empty((blk, s, n), dtype=f)
-    if grouped:
-        net_u = np.empty((blk, s, u), dtype=f)
-        rp_u = np.empty((blk, s, u), dtype=f)
-        rn_u = np.empty((blk, s, u), dtype=f)
-        net_g = net.reshape(blk, s, u, group)
-        rp_g = rp.reshape(blk, s, u, group)
-        rn_g = rn.reshape(blk, s, u, group)
+    # Lane-prologue buffers and chunk buffers (rp/rn double as kWh scratch
+    # in the epilogue, and net holds the residual there).  One lane's
+    # prologue fills the chunk buffers: its window is the chunk.
+    lane_bufs = buffers((lane_blk, lanes))
+    lane_rp, lane_rn = (a.reshape(lane_blk, lanes, flat) for a in lane_bufs[1:3])
+    if lanes == 1:
+        chunk_bufs = tuple(a.reshape(blk, *a.shape[2:]) for a in lane_bufs)
     else:
-        net_u, rp_u, rn_u = net, rp, rn
+        chunk_bufs = buffers((blk,))
+    net, rp, rn = (a.reshape(blk, s, n) for a in chunk_bufs[:3])
+    # The time-vectorized step works in contrib rows: headroom becomes
+    # the charge row, available the discharge row, and the export and
+    # cost rows, which the epilogue rewrites, hold the decayed energy and
+    # the taper.
+    steps_c = contrib.reshape(n_acc, blk + 1, flat)[:, 1:]
+    # The window's trajectory: the energy before each step, row 0 the
+    # window's checked start.  The last lane may run past the window's
+    # end by fewer than `lanes` steps.
+    traj = np.empty((window + lanes + 1, flat), dtype=f)
+    np.copyto(traj[0], _cells(cap * soc0))
+    # One lane is exact from its start, so a one-lane call's steps write
+    # their charge and discharge into the contrib rows, not rebuilt.
+    kept = contrib[2:4, 1:].reshape(2, blk, 1, flat) if lanes == 1 else None
 
-    mul, div, sub, add = np.multiply, np.divide, np.subtract, np.add
-    mx, mn = np.maximum, np.minimum
-    # Flat per-step row views of the chunk buffers, built once per call.
-    rp_rows = [rp[i].reshape(-1) for i in range(blk)]
-    rn_rows = [rn[i].reshape(-1) for i in range(blk)]
-    pc_rows = [contrib[2, 1 + i].reshape(-1) for i in range(blk)]
-    pd_rows = [contrib[3, 1 + i].reshape(-1) for i in range(blk)]
+    as_strided = np.lib.stride_tricks.as_strided
+    item = f.itemsize
+    row_b = flat * item
 
-    # SoC trace, time-major so each step writes one contiguous row: the
+    # SoC trace, time-major so each step has one contiguous row: the
     # loop's energy_wh / safe_cap, same operands and the same one divide.
     soc_rows = None
     if trace_soc:
         soc_rows = np.empty((t_steps + 1, flat), dtype=f)
-        div(energy, safe_f, soc_rows[0])
+        div(traj[0], safe0, soc_rows[0])
 
-    for t0 in range(0, t_steps, blk):
-        t1 = min(t0 + blk, t_steps)
-        b = t1 - t0
+    geometries = {}
 
-        # --- prologue: net load and request decomposition ----------------
-        # request = net (greedy) lowered to rp = max(net, 0), rn = rp − net
-        # (≡ max(−net, 0)); CHARGE_ONLY zeroes rn; UNLIMITED sets rp = +inf.
-        sol_c = sol_t[t0:t1, :, None]
-        wind_c = wind_t[t0:t1, :, None]
-        load_c = load_t[t0:t1, :, None]
-        nu = net_u[:b]
-        mul(sol_c, kw_u, nu)
-        mul(wind_c, tb_u, rn_u[:b])
-        add(nu, rn_u[:b], nu)
-        sub(nu, load_c, nu)
-        mx(nu, 0.0, out=rp_u[:b])
-        sub(rp_u[:b], nu, rn_u[:b])
-        if has_modes:
-            m1 = charge_only[t0:t1]
-            if m1.any():
-                rn_u[:b][m1] = 0.0
-            m2 = unlimited[t0:t1]
-            if m2.any():
-                rp_u[:b][m2] = UNLIMITED_CHARGE_W
-                rn_u[:b][m2] = 0.0
-        if grouped:
-            np.copyto(net_g[:b], net_u[:b, :, :, None])
-            np.copyto(rp_g[:b], rp_u[:b, :, :, None])
-            np.copyto(rn_g[:b], rn_u[:b, :, :, None])
-
-        # --- sequential battery recurrence (C/L/C, exact op order) -------
-        for i in range(b):
-            p_charge = pc_rows[i]
-            p_discharge = pd_rows[i]
-            mul(energy, decay_f, energy)  # self-discharge (max(·,0) is a no-op: e ≥ 0)
-            div(energy, safe_f, taper)
-            sub(socmax_f, taper, taper)
-            div(taper, span_f, taper)
-            sub(rows_eh, rows_ee, rows_ha)  # head = e_max − e ; avail = e − e_min
-            mx(rows_at, zero2, out=rows_at)  # max(avail, 0) ; max(taper, 0)
-            if not unit_dt:
-                div(rows_ha, dt2, rows_ha)
-            div(head, etac_f, head)  # head / η_c
-            mn(taper, one_f, out=taper)  # min(taper, 1)
-            # avail·η_d ; p_lim = taper·(cap·c_rate), which IEEE rounds
-            # exactly as the loop's (cap·c_rate)·taper
-            mul(rows_at, rows_dc, rows_at)
-            mn(rows_pd, rows_ha, out=rows_ha)  # min(p_lim, head) ; min(d_lim, avail)
-            mn(rp_rows[i], head, out=p_charge)
-            mn(rn_rows[i], avail, out=p_discharge)
-            mul(p_charge, etac_f, head)  # stored gain (η_c·P_c)·dt
-            if unit_dt:
-                div(p_discharge, etad_f, avail)  # stored loss (P_d·dt)/η_d
+    def lane_views(lane, i0, i1, k):
+        """The step's views for offsets i0..i1−1 of k lanes `lane` steps
+        apart: the workspace rows, and per-step rows of the trajectory,
+        the flows and the requests.  Built once per geometry (every full
+        window shares one), so the step itself only indexes lists."""
+        key = (lane, i0, i1, k)
+        if key not in geometries:
+            ws = work[:, :k]
+            # Lane j at offset i is window step jL + i: strided views put
+            # the k lanes side by side.  Where lanes overlap, the lane that
+            # owns a step writes it last.
+            if k == 1:
+                e_lanes = traj[i0 : i1 + 1, None]
             else:
-                mul(head, dt_f, head)
-                mul(p_discharge, dt_f, avail)
-                div(avail, etad_f, avail)
-            add(energy, head, energy)
-            sub(energy, avail, energy)
-            mx(energy, zero_f, out=energy)
-            mn(energy, e_max, out=energy)
-            if soc_rows is not None:
-                div(energy, safe_f, soc_rows[t0 + i + 1])
+                e_lanes = as_strided(traj[i0:], (i1 - i0 + 1, k, flat), (row_b, lane * row_b, item))
+            if kept is None:
+                flows = [ws[19]] * (i1 - i0), [ws[20]] * (i1 - i0)
+            else:
+                flows = list(kept[0, i0:i1]), list(kept[1, i0:i1])
+            requests = [list(a[:, :k]) for a in (lane_rp, lane_rn)]
+            # The workspace rows by name, then the fused row pairs (each
+            # ONE two-row ufunc call per step):
+            #   (head, avail) = (e_max, energy) − (energy, e_min)
+            #   (avail, taper) = max((avail, taper), 0)
+            #   (avail, p_lim) = (avail, taper) · (eta_d, cap·c_rate)
+            #   (head, avail) = min((p_lim, d_lim), (head, avail))
+            # and, off the hour, (head, avail) /= dt_h.
+            rows = [ws[r] for r in (0, 1, 3, 4, 5, 7, 9, 10, 11, 12, 13, 14, 16, 17)]
+            rows += [ws[r : r + 2] for r in (0, 1, 3, 4, 5, 7, 14, 17)]
+            geometries[key] = (rows, list(e_lanes), *flows, *requests)
+        return geometries[key]
 
-        # --- epilogue: grid split, costs, emissions, islanding -----------
-        export_c = contrib[1, 1 : b + 1]
-        deficit_c = contrib[4 if islanded else 0, 1 : b + 1]
-        cost_c = contrib[6, 1 : b + 1]
-        isl_c = contrib[7, 1 : b + 1]
-        res_b = net[:b]
-        sub(contrib[2, 1 : b + 1], contrib[3, 1 : b + 1], export_c)  # accepted power
-        sub(res_b, export_c, res_b)
-        mx(res_b, 0.0, out=export_c)  # export power
-        sub(export_c, res_b, deficit_c)  # import/unserved power (= max(−res, 0))
+    def run_lanes(w0, lane, w, i0, i1, k):
+        """Offsets i0..i1−1 of k lanes `lane` steps apart from window
+        step w0; returns the lanes' energies at offset w (their
+        boundaries) if it ran that offset."""
+        rows, e_rows, pc_rows, pd_rows, rp_rows, rn_rows = lane_views(lane, i0, i1, k)
+        (e_max, energy, head, avail, taper, etad_f, safe_f, span_f, etac_f, decay_f,
+         socmax_f, zero_f, one_f, dt_f, rows_eh, rows_ee, rows_ha, rows_at, rows_pd,
+         rows_dc, zero2, dt2) = rows
+
+        def folded(a):
+            if k == 1:
+                return a[w0 + i0 : w0 + i1, None]
+            strides = (a.strides[0], lane * a.strides[0], *a.strides[1:])
+            return as_strided(a[w0 + i0 :], (i1 - i0, k, *a.shape[1:]), strides, writeable=False)
+
+        # The profiles and the mode table, lowered once on the whole
+        # stack, folded into lanes.
+        lane_in = [folded(a) for a in profiles[:3]]
+        lane_in += [folded(m) if has_modes else None for m in (charge_only, unlimited)]
+        bound = None
+        for c0 in range(i0, i1, lane_blk):
+            c1 = min(c0 + lane_blk, i1)
+            prologue(
+                *(a if a is None else a[c0 - i0 : c1 - i0] for a in lane_in),
+                *(a[: c1 - c0, :k] for a in lane_bufs),
+            )
+            for i in range(c0, c1):
+                if i == w and k > 1:
+                    # Each lane's own energy at its boundary, before the
+                    # previous lane writes its end there.
+                    bound = traj[w :: lane][:k].copy()
+                p_charge, p_discharge = pc_rows[i - i0], pd_rows[i - i0]
+                # self-discharge (max(·,0) is a no-op: e ≥ 0)
+                mul(e_rows[i - i0], decay_f, energy)
+                div(energy, safe_f, taper)
+                sub(socmax_f, taper, taper)
+                div(taper, span_f, taper)
+                sub(rows_eh, rows_ee, rows_ha)  # head = e_max − e ; avail = e − e_min
+                mx(rows_at, zero2, out=rows_at)  # max(avail, 0) ; max(taper, 0)
+                if not unit_dt:
+                    div(rows_ha, dt2, rows_ha)
+                div(head, etac_f, head)  # head / η_c
+                mn(taper, one_f, out=taper)  # min(taper, 1)
+                # avail·η_d ; p_lim = taper·(cap·c_rate), which IEEE rounds
+                # exactly as the loop's (cap·c_rate)·taper
+                mul(rows_at, rows_dc, rows_at)
+                mn(rows_pd, rows_ha, out=rows_ha)  # min(p_lim, head) ; min(d_lim, avail)
+                mn(rp_rows[i - c0], head, out=p_charge)
+                mn(rn_rows[i - c0], avail, out=p_discharge)
+                mul(p_charge, etac_f, head)  # stored gain (η_c·P_c)·dt
+                if unit_dt:
+                    div(p_discharge, etad_f, avail)  # stored loss (P_d·dt)/η_d
+                else:
+                    mul(head, dt_f, head)
+                    mul(p_discharge, dt_f, avail)
+                    div(avail, etad_f, avail)
+                add(energy, head, energy)
+                sub(energy, avail, energy)
+                mx(energy, zero_f, out=energy)
+                mn(energy, e_max, out=e_rows[i - i0 + 1])
+        return bound
+
+    def rebuild(e_prev, rp_b, rn_b, b):
+        """The steps' charge and discharge from the energies before them:
+        the battery step's operations, in its order, vectorized over
+        time, into the contrib rows."""
+        e_d, hd, av, tp = (steps_c[row, :b] for row in (1, 2, 3, 6))
+        mul(e_prev, decay_s, e_d)
+        div(e_d, safe0, tp)
+        sub(socmax_s, tp, tp)
+        div(tp, span_s, tp)
+        sub(emax0, e_d, hd)
+        sub(e_d, emin0, av)
+        mx(av, zero_s, out=av)
+        mx(tp, zero_s, out=tp)
         if not unit_dt:
-            mul(export_c, dt_h, export_c)
-            mul(deficit_c, dt_h, deficit_c)
-            mul(contrib[2:4, 1 : b + 1], dt_h, contrib[2:4, 1 : b + 1])
-        export_kwh = rn[:b]
-        div(export_c, WH_PER_KWH, export_kwh)
-        mul(export_kwh, credit, export_kwh)
-        if islanded:
-            sub(0.0, export_kwh, cost_c)
-        else:
-            import_kwh = rp[:b]
-            div(deficit_c, WH_PER_KWH, import_kwh)
-            emissions_c = contrib[5, 1 : b + 1]
-            mul(import_kwh, ci_t[t0:t1, :, None], emissions_c)
-            div(emissions_c, 1000.0, emissions_c)
-            mul(import_kwh, price_t[t0:t1, :, None], cost_c)
-            sub(cost_c, export_kwh, cost_c)
-        np.less_equal(deficit_c, eps_wh, out=isl_c)
+            div(hd, dt_s, hd)
+            div(av, dt_s, av)
+        div(hd, etac_s, hd)
+        mn(tp, one_s, out=tp)
+        mul(av, etad_s, av)
+        mul(tp, pcap0, tp)
+        mn(tp, hd, out=hd)
+        mn(dlim0, av, out=av)
+        mn(rp_b, hd, out=hd)
+        mn(rn_b, av, out=av)
 
-        for g0 in range(0, b, _FOLD_STEPS):
-            g1 = min(g0 + _FOLD_STEPS, b)
-            contrib[:, g0] = totals
-            np.add.reduce(contrib[:, g0 : g1 + 1], axis=1, out=totals)
+    for w0 in range(0, t_steps, window):
+        tw = min(window, t_steps - w0)
+
+        # --- battery recurrence, in k lanes L steps apart -----------------
+        # Lane j runs window steps jL .. jL+L+w−1 and owns the last L of
+        # them (lane 0 all L+w).  The last lane stops at the window's end.
+        k = lanes if tw - overlap >= lanes else 1
+        w = overlap if k > 1 else 0
+        lane = -(-(tw - w) // k)
+        k = -(-(tw - w) // lane)  # no lane starts past the window's end
+        steps = lane + w
+        past = k * lane + w - tw  # offsets the last lane would run past it
+        if k > 1:
+            np.copyto(traj[lane : k * lane : lane], traj[0] if guess is None else guess)
+        bound = run_lanes(w0, lane, w, 0, steps - past, k)
+        if past:
+            run_lanes(w0, lane, w, steps - past, steps, k - 1)
+
+        # --- check each lane's boundary bit for bit, re-run the misses ----
+        # Lane j−1's checked end (row jL+w) against lane j's own energy
+        # there, by bit pattern: == would take -0.0 for 0.0 and never
+        # match a NaN.  A re-run that reaches its lane's end has changed
+        # that end, so its cell is checked again at the next boundary.
+        if k > 1:
+            ends = traj[lane + w :: lane][: k - 1]
+            misses = np.nonzero(ends.view(bits) != bound[1:].view(bits))
+            todo = [set() for _ in range(k)]
+            for j, c in zip(*(idx.tolist() for idx in misses)):
+                todo[j + 1].add(c)
+            carry = set()
+            for j in range(1, k):
+                p0 = j * lane + w
+                p1 = min(p0 + lane, tw)
+                cells, carry = todo[j] | carry, set()
+                for c in sorted(cells):
+                    if traj[p0, c].tobytes() == bound[j, c].tobytes():
+                        continue
+                    si, ni = divmod(c, n)
+                    t0, t1 = w0 + p0, w0 + p1
+                    energies = scalars(traj[p0 : p1 + 1, c])
+                    fixed = _rerun(
+                        energies[0],
+                        *(scalars(a[t0:t1, si]) for a in profiles[:3]),
+                        memoryview(table[t0:t1, si]),
+                        energies[1:],
+                        kw_s[ni // group],
+                        tb_s[ni // group],
+                        [col[c] for col in rerun_consts],
+                        rerun_dt,
+                    )
+                    traj[p0 + 1 : p0 + 1 + len(fixed), c] = fixed
+                    if len(fixed) == p1 - p0:
+                        carry.add(c)
+
+        # --- per chunk, in time order ------------------------------------
+        for c0 in range(0, tw, blk):
+            c1 = min(c0 + blk, tw)
+            b = c1 - c0
+            t0, t1 = w0 + c0, w0 + c1
+            if kept is None:
+                # The prologue, then the steps' charge and discharge rebuilt
+                # from the checked trajectory (one lane wrote both already).
+                m1 = charge_only[t0:t1] if has_modes else None
+                m2 = unlimited[t0:t1] if has_modes else None
+                prologue(
+                    sol_t[t0:t1], wind_t[t0:t1], load_t[t0:t1], m1, m2,
+                    *(a[:b] for a in chunk_bufs),
+                )
+                rebuild(traj[c0:c1], rp[:b].reshape(b, flat), rn[:b].reshape(b, flat), b)
+            if soc_rows is not None:
+                div(traj[c0 + 1 : c1 + 1], safe0, soc_rows[t0 + 1 : t1 + 1])
+
+            # --- epilogue: grid split, costs, emissions, islanding -------
+            export_c = contrib[1, 1 : b + 1]
+            deficit_c = contrib[4 if islanded else 0, 1 : b + 1]
+            cost_c = contrib[6, 1 : b + 1]
+            isl_c = contrib[7, 1 : b + 1]
+            res_b = net[:b]
+            sub(contrib[2, 1 : b + 1], contrib[3, 1 : b + 1], export_c)  # accepted power
+            sub(res_b, export_c, res_b)
+            mx(res_b, 0.0, out=export_c)  # export power
+            sub(export_c, res_b, deficit_c)  # import/unserved power (= max(−res, 0))
+            if not unit_dt:
+                mul(export_c, dt_h, export_c)
+                mul(deficit_c, dt_h, deficit_c)
+                mul(contrib[2:4, 1 : b + 1], dt_h, contrib[2:4, 1 : b + 1])
+            export_kwh = rn[:b]
+            div(export_c, WH_PER_KWH, export_kwh)
+            mul(export_kwh, credit, export_kwh)
+            if islanded:
+                sub(0.0, export_kwh, cost_c)
+            else:
+                import_kwh = rp[:b]
+                div(deficit_c, WH_PER_KWH, import_kwh)
+                emissions_c = contrib[5, 1 : b + 1]
+                mul(import_kwh, ci_t[t0:t1, :, None], emissions_c)
+                div(emissions_c, 1000.0, emissions_c)
+                mul(import_kwh, price_t[t0:t1, :, None], cost_c)
+                sub(cost_c, export_kwh, cost_c)
+            np.less_equal(deficit_c, eps_wh, out=isl_c)
+
+            for g0 in range(0, b, fold):
+                g1 = min(g0 + fold, b)
+                contrib[:, g0] = totals
+                np.add.reduce(contrib[:, g0 : g1 + 1], axis=1, out=totals)
+
+        np.copyto(traj[0], traj[tw])
 
     return _dispatch_result(totals, soc_rows)
 

@@ -1,5 +1,7 @@
 """Command-line interface (repro.cli)."""
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -58,6 +60,14 @@ class TestCommands:
         )
         out = capsys.readouterr().out
         assert "recovery" in out and "speed-up" in out
+        # Both ratios: the count-based one and the measured wall-clock one.
+        count, measured, exhaustive_s, search_s = re.search(
+            r"speed-up ([\d.]+)x \(\d+ / unique simulations\), measured ([\d.]+)x "
+            r"\(exhaustive ([\d.]+) s / search ([\d.]+) s\)",
+            out,
+        ).groups()
+        assert float(count) > 0 and float(measured) >= 0
+        assert float(exhaustive_s) >= 0 and float(search_s) >= 0
 
     def test_report(self, capsys):
         assert main(["report", "--site", "houston", *self.OVERRIDES]) == 0

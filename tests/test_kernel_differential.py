@@ -592,17 +592,21 @@ class TestNarrowPath:
     """The segments engine's scalar path against its vector path.
 
     ``run_dispatch_segments`` sends float64 calls of at most
-    ``kernel._SCALAR_CELLS`` cells to a per-cell body on Python floats;
-    its accumulators and SoC trace must be the vector path's bits at
-    every such width, S·N = 1 fold included, and the loop's at S·N ≥ 2.
-    Layouts 1×k, k×1 and 2×2 up to one cell past the crossover; horizons
-    end on a 7-step fold group (T = 15, pairwise without an eighth term)
-    and a 6-step one after a full chunk (T = 70, left to right).
+    ``kernel._SCALAR_CELLS`` cells to a per-cell body on Python floats
+    (:func:`kernel._segments_scalar`, which lane re-runs mirror); its
+    accumulators and SoC trace must be the vector path's bits at every
+    width it is called at here, S·N = 1 fold included, and the loop's at
+    S·N ≥ 2.  Layouts 1×k, k×1 and 2×2 up to seven cells; horizons end on
+    a 7-step fold group (T = 15, pairwise without an eighth term) and a
+    6-step one after a full chunk (T = 70, left to right).
     """
 
+    #: Widest layout: the crossover before the vector step ran in time
+    #: lanes was six cells.
+    WIDEST = 7
     LAYOUTS = sorted(
-        {(1, k) for k in range(1, kernel._SCALAR_CELLS + 2)}
-        | {(k, 1) for k in range(2, kernel._SCALAR_CELLS + 2)}
+        {(1, k) for k in range(1, WIDEST + 1)}
+        | {(k, 1) for k in range(2, WIDEST + 1)}
         | {(2, 2)}
     )
 
@@ -620,12 +624,17 @@ class TestNarrowPath:
                 stack, *cands, params, policy=policy, engine="loop", trace_soc=True
             )
             for trace_soc in (False, True):
-                got = kernel.run_dispatch_segments(
+                got = kernel._segments_scalar(
                     stack, *cands, params, policy=policy, trace_soc=trace_soc
                 )
                 want = kernel._segments_vector(
                     stack, *cands, params, policy=policy, trace_soc=trace_soc
                 )
+                if s * n <= kernel._SCALAR_CELLS:
+                    routed = kernel.run_dispatch_segments(
+                        stack, *cands, params, policy=policy, trace_soc=trace_soc
+                    )
+                    assert_bitwise(result_rows(routed), result_rows(got), f"{tag} routed")
                 assert_bitwise(result_rows(got), result_rows(want), f"{tag} trace={trace_soc}")
                 if trace_soc:
                     assert_bitwise(got.soc, want.soc, f"{tag}: SoC")
@@ -703,6 +712,198 @@ class TestNarrowPath:
                         want[j] = np.add.reduce(group)
             got = kernel._fold_group(iter(map(tuple, steps.tolist())), t)
             assert_bitwise(got, want, f"T={t} draw {draw}")
+
+
+def run_lanes(stack, cands, params, policy=None, plan=(1, 0, None), dtype=np.float64,
+              trace_soc=False, guess=None):
+    """``kernel._segments_lanes`` with a ``(lanes, overlap, window)`` plan;
+    a window of None is the whole horizon."""
+    lanes, overlap, window = plan
+    return kernel._segments_lanes(
+        stack, *cands, params, 0.5, policy, dtype, trace_soc,
+        lanes, overlap, window or stack.n_steps, guess,
+    )
+
+
+class TestTimeLanes:
+    """The segments engine's vector step in time lanes, against one lane.
+
+    ``kernel._segments_lanes`` runs the battery recurrence of k lanes at
+    once, each from a guessed energy some steps before its boundary,
+    checks every boundary by bit pattern and re-runs the misses; one
+    lane is the sequential step.  Accumulators and SoC traces must be
+    the one-lane run's bits (uint64 views of the float64 results, which
+    widen float32 exactly) for every lowerable policy, hourly and
+    15-minute steps, float64 and float32, untraced and traced, on
+    horizons that cross lane and window edges (short plans keep it fast).
+    """
+
+    #: (lanes, overlap, window): ragged lanes in several windows, lanes
+    #: that start right at their boundary, more lanes than fit.
+    PLANS = ((4, 8, 48), (3, 5, 40), (8, 0, 64), (16, 3, 1_000))
+
+    def _check(self, stack, cands, params, label, plans=PLANS, guesses=(None,),
+               dtypes=(np.float64, np.float32)):
+        s = stack.n_scenarios
+        for policy in random_policies(np.random.default_rng(stack.n_steps), s):
+            for dtype, trace in itertools.product(dtypes, (False, True)):
+                tag = f"{label} {type(policy).__name__} {np.dtype(dtype).name} trace={trace}"
+                want = run_lanes(stack, cands, params, policy, dtype=dtype, trace_soc=trace)
+                for plan, guess in itertools.product(plans, guesses):
+                    got = run_lanes(
+                        stack, cands, params, policy, plan, dtype, trace, guess
+                    )
+                    assert_bitwise(
+                        result_rows(got), result_rows(want), f"{tag} plan={plan} guess={guess}"
+                    )
+                    if trace:
+                        assert_bitwise(got.soc, want.soc, f"{tag} plan={plan}: SoC")
+
+    @pytest.mark.parametrize("step_s", [900.0, 3_600.0])
+    @pytest.mark.parametrize("t", [37, 100, 203])
+    def test_lanes_bitwise(self, t, step_s):
+        rng = np.random.default_rng(31_000 + t)
+        stack = random_stack(rng, 2, t, step_s)
+        cands = list(random_candidates(rng, 5))
+        cands[2][0] = 0.0  # a zero-capacity battery
+        self._check(stack, cands, random_params(rng), f"T={t} dt={step_s}")
+
+    def test_grouped_layout(self):
+        """Battery-fastest (solar, wind) groups: both prologues (the
+        lane-folded one and the chunked one) run on the unique pairs."""
+        rng = np.random.default_rng(31_500)
+        stack = random_stack(rng, 2, 150, 3_600.0)
+        solar_kw = np.repeat(rng.uniform(0.0, 2_000.0, 3), 9)
+        turbine = np.repeat(rng.uniform(0.0, 10.0, 3), 9)
+        cap = rng.uniform(0.0, 5e7, 27)
+        assert kernel._candidate_groups(solar_kw, turbine)[0] == 9
+        self._check(stack, (solar_kw, turbine, cap), random_params(rng), "grouped")
+
+    def test_nan_load_step(self):
+        """A NaN load step: every later lane boundary misses (NaN against
+        finite guesses) and the re-runs carry the NaN as numpy does."""
+        rng = np.random.default_rng(31_600)
+        stack = random_stack(rng, 1, 90, 3_600.0)
+        stack.load_w[0, 30] = np.nan
+        self._check(stack, random_candidates(rng, 3), random_params(rng), "NaN load")
+
+    def test_wrong_guesses(self):
+        """Lanes started from 0, from e_max and from NaN: whatever the
+        guess, the checked trajectory and every output are the same."""
+        rng = np.random.default_rng(31_700)
+        stack = random_stack(rng, 2, 120, 3_600.0)
+        cands = random_candidates(rng, 4)
+        params = random_params(rng)
+        e_max = np.tile(cands[2] * params.soc_max, 2)
+        self._check(
+            stack, cands, params, "guess", plans=((4, 8, 48), (6, 0, 1_000)),
+            guesses=(0.0, e_max, np.nan),
+        )
+
+    def test_time_window_lanes_off_the_day(self):
+        """TimeWindowDispatch derives hour-of-day from the step index; its
+        mode table is lowered once on the whole stack, so lanes of 5, 7
+        and 13 steps (not a day, nor a divisor of one) keep its bits."""
+        rng = np.random.default_rng(31_800)
+        params = random_params(rng)
+        for step_s in (900.0, 3_600.0):
+            stack = random_stack(rng, 1, 110, step_s)
+            cands = random_candidates(rng, 4)
+            for policy in (TimeWindowDispatch(14.0, 19.0), TimeWindowDispatch(20.0, 3.5)):
+                want = run_lanes(stack, cands, params, policy)
+                for plan in ((16, 4, 1_000), (8, 6, 1_000), (4, 9, 64)):
+                    got = run_lanes(stack, cands, params, policy, plan, trace_soc=True)
+                    assert_bitwise(result_rows(got), result_rows(want), f"{plan} dt={step_s}")
+
+    def test_boundary_misses_are_rerun(self, monkeypatch):
+        """With no overlap and a zero guess, boundaries miss: the re-runs
+        happen, and the outputs are still the one-lane bits."""
+        rng = np.random.default_rng(31_900)
+        stack = random_stack(rng, 1, 96, 3_600.0)
+        cands = random_candidates(rng, 6)
+        params = random_params(rng)
+        calls = []
+        real = kernel._rerun
+
+        def spy(*args):
+            fixed = real(*args)
+            calls.append(len(fixed))
+            return fixed
+
+        monkeypatch.setattr(kernel, "_rerun", spy)
+        want = run_lanes(stack, cands, params)
+        assert not calls  # one lane has no boundary to check
+        got = run_lanes(stack, cands, params, plan=(8, 0, 1_000), guess=0.0)
+        assert calls and sum(calls) > 0
+        assert_bitwise(result_rows(got), result_rows(want), "re-run")
+
+    def test_zero_generation_cells_rerun_each_step_once(self, houston_month, monkeypatch):
+        """No solar, no turbines, 1-8 battery units: the battery only
+        self-discharges, so lanes never meet the true trajectory and every
+        boundary misses.  The re-runs still cover each of a cell's steps
+        at most once (a scalar pass over the horizon, not one per lane),
+        and the bits are the one-lane run's."""
+        stack = stack_scenarios([houston_month])
+        comps = [MicrogridComposition(0, 0.0, units) for units in range(1, 9)]
+        cands = _candidate_vectors(comps)
+        params = CLCParameters(capacity_wh=1.0)
+        steps = {}
+        real = kernel._rerun
+
+        def spy(*args):
+            fixed = real(*args)
+            key = float(args[8][0])  # the cell's e_max
+            steps[key] = steps.get(key, 0) + len(fixed)
+            return fixed
+
+        monkeypatch.setattr(kernel, "_rerun", spy)
+        want = run_lanes(stack, cands, params)
+        for plan in ((8, 64, None), (16, 64, 240)):
+            steps.clear()
+            got = run_lanes(stack, cands, params, plan=plan, trace_soc=True)
+            assert_bitwise(result_rows(got), result_rows(want), f"zero generation {plan}")
+            assert len(steps) == 8 and max(steps.values()) <= stack.n_steps
+
+    def test_lane_plan(self):
+        """The lane rule: narrow long calls run in lanes, wide or short
+        ones sequentially, and a window never holds more trajectory cells
+        than its budget."""
+        assert kernel._lane_plan(8_760, 50)[0] == 16
+        assert kernel._lane_plan(720, 60)[0] == 8
+        assert kernel._lane_plan(8_760, 1_089)[0] == 1
+        assert kernel._lane_plan(720, kernel._LANE_MAX_CELLS + 1)[0] == 1
+        assert kernel._lane_plan(100, 20)[0] == 1
+        for t, flat in itertools.product((24, 720, 8_760), (1, 7, 50, 160, 1_089, 4_000)):
+            lanes, overlap, window = kernel._lane_plan(t, flat)
+            assert lanes & (lanes - 1) == 0 and lanes * flat <= max(flat, 1_024)
+            assert window % kernel._FOLD_STEPS == 0
+            assert window * flat <= max(kernel._LANE_WINDOW_CELLS, 8 * flat)
+
+    def test_full_year_call_memory(self, houston):
+        """One full-year, 50-candidate Houston call: the trajectory window
+        bounds the lanes' memory (the untraced call peaked at 0.39 MB and
+        the traced one at 3.9 MB before lanes; a whole-year float64
+        trajectory alone would be 3.5 MB)."""
+        import tracemalloc
+
+        rng = np.random.default_rng(32_000)
+        comps = [
+            MicrogridComposition(int(rng.integers(0, 11)), float(rng.uniform(0, 40_000)),
+                                 int(rng.integers(0, 9)))
+            for _ in range(50)
+        ]
+        stack = stack_scenarios([houston])
+        cands = _candidate_vectors(comps)
+        params = CLCParameters(capacity_wh=1.0)
+        assert kernel._lane_plan(stack.n_steps, 50)[0] > 1
+        for trace_soc, limit_mb in ((False, 1.5), (True, 3.9 + 1.0)):
+            tracemalloc.start()
+            try:
+                kernel.run_dispatch_segments(stack, *cands, params, trace_soc=trace_soc)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= limit_mb * 1e6, f"trace={trace_soc}: {peak / 1e6:.2f} MB"
 
 
 # -- engine selection semantics ----------------------------------------------
