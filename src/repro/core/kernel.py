@@ -320,8 +320,6 @@ _FOLD_STEPS = 8
 _CHUNK_CELLS = 4096
 #: Longest prologue/epilogue chunk, in steps.
 _CHUNK_MAX_STEPS = 64
-#: Cell budget (steps × lanes × S·N) of one lane-prologue chunk buffer.
-_LANE_CHUNK_CELLS = 4096
 #: Trajectory cells (steps × S·N) of one lane window: 480 KiB in float64.
 #: A 512 KiB budget measured +1.0 MB of ensemble_ladder peak RSS, this one
 #: +0.36 MB.
@@ -336,16 +334,24 @@ _LANE_OVERLAP = 64
 #: 128 cells 18.9 / 21.2; full year: 100 cells 140 / 100, 128 cells
 #: 135 / 139, 160 cells 134 / 159.
 _LANE_MAX_CELLS = 100
-#: Widest float64 call (S·N cells) that runs on the scalar path.  Full-year
-#: Houston calls, best of 5, vector (in 16 time lanes) / scalar ms, on a
-#: shared 2-vCPU x86-64 host (CPython 3.11, numpy 2.4):
+#: Widest float64 call (S·N cells) that may run on the scalar path, and
+#: the most cells (lanes × S·N) of the lane step it would take instead.
+#: Houston calls, best of 9, vector / scalar ms, untraced (traced reads
+#: the same within noise), on a shared 2-vCPU x86-64 host (CPython 3.11,
+#: numpy 2.4):
 #:
-#:   S·N          1          2          3          4          6          8
-#:   untraced  13.5 / 10   16.8 / 18  16.9 / 28  28.6 / 62  21.4 / 70  29.7 / 98
-#:   traced    14.4 / 12   16.6 / 21  21.1 / 35  19.4 / 48  25.7 / 78  38.1 / 123
+#:   T (lanes)       S·N = 2      3            4            6
+#:   168 (1)         1.62 / 0.39  2.58 / 0.70  2.81 / 0.81  3.11 / 1.44
+#:   264 (2)         2.67 / 0.59  2.47 / 1.07  2.45 / 1.44  2.66 / 1.91
+#:   336 (4)         2.36 / 0.81  2.20 / 1.11  2.24 / 1.67  2.57 / 2.20
+#:   720 (8)         2.50 / 1.57  2.53 / 2.23  2.53 / 3.14  2.65 / 4.87
+#:   1 440 (16)      3.29 / 3.15  3.72 / 4.91  3.41 / 6.77  3.64 / 9.29
+#:   8 760 (16)      14.4 / 21.6  20.1 / 27.6  15.3 / 37.2  15.3 / 61.2
 #:
-#: The lanes' vector step wins from two cells on; one cell stays scalar.
-_SCALAR_CELLS = 1
+#: Scalar wins, or ties, while lanes × S·N ≤ 16; so one cell always stays
+#: scalar (``_LANES_MAX`` is 16).
+_SCALAR_CELLS = 6
+_SCALAR_LANE_CELLS = 16
 
 
 def _lane_plan(t_steps: int, flat: int) -> tuple[int, int, int]:
@@ -399,14 +405,21 @@ def run_dispatch_segments(
     Restructures :func:`repro.core.dispatch.run_dispatch` around a mode
     table (policy decisions precomputed for all steps), keeping every
     floating-point operation IEEE-identical to the loop.  Float64 calls
-    of at most ``_SCALAR_CELLS`` (one) cells run :func:`_segments_scalar`,
-    all others :func:`_segments_vector`, whose battery recurrence runs in
-    the time lanes :func:`_lane_plan` picks; both return the same bits.
+    of at most ``_SCALAR_CELLS`` cells whose lane plan (:func:`_lane_plan`)
+    gives a lane step of at most ``_SCALAR_LANE_CELLS`` cells run
+    :func:`_segments_scalar`, all others :func:`_segments_vector`, whose
+    battery recurrence runs in those time lanes; both return the same
+    bits.
     ``dtype=np.float32`` selects the non-bitwise racing fast path.
     ``trace_soc`` records the per-step SoC as the loop does, returned as
     an ``(S, N, T+1)`` view of one time-major buffer.
     """
-    if np.dtype(dtype) == np.float64 and stack.n_scenarios * solar_kw.size <= _SCALAR_CELLS:
+    flat = stack.n_scenarios * int(solar_kw.size)
+    if (
+        np.dtype(dtype) == np.float64
+        and flat <= _SCALAR_CELLS
+        and flat * _lane_plan(stack.n_steps, flat)[0] <= _SCALAR_LANE_CELLS
+    ):
         return _segments_scalar(
             stack, solar_kw, turbine_factor, capacity_wh, params, initial_soc, policy, trace_soc
         )
@@ -718,7 +731,7 @@ def _segments_lanes(
     fold = _FOLD_STEPS if flat == 1 else blk
     window = _FOLD_STEPS * max(1, -(-min(window, t_steps) // _FOLD_STEPS))
     # Steps per lane-prologue chunk.
-    lane_blk = blk if lanes == 1 else max(1, _LANE_CHUNK_CELLS // (lanes * flat))
+    lane_blk = blk if lanes == 1 else max(1, _CHUNK_CELLS // (lanes * flat))
 
     cap = np.asarray(capacity_wh, dtype=np.float64)
     safe_cap = np.maximum(cap, 1e-12)
@@ -847,9 +860,8 @@ def _segments_lanes(
     # the taper.
     steps_c = contrib.reshape(n_acc, blk + 1, flat)[:, 1:]
     # The window's trajectory: the energy before each step, row 0 the
-    # window's checked start.  The last lane may run past the window's
-    # end by fewer than `lanes` steps.
-    traj = np.empty((window + lanes + 1, flat), dtype=f)
+    # window's checked start.
+    traj = np.empty((window + 1, flat), dtype=f)
     np.copyto(traj[0], _cells(cap * soc0))
     # One lane is exact from its start, so a one-lane call's steps write
     # their charge and discharge into the contrib rows, not rebuilt.

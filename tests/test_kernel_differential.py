@@ -22,8 +22,8 @@ the property-fuzz harness that enforces it:
 * horizons that cross the segments engine's prologue/epilogue chunks in
   every chunk-width band, and a pin on its S·N = 1 sums until the fold
   there is fixed;
-* the segments engine's narrow path (the scalar body that float64 calls
-  of at most ``kernel._SCALAR_CELLS`` cells take) against its vector
+* the segments engine's narrow path (the scalar body that narrow
+  float64 calls take, see ``kernel._SCALAR_CELLS``) against its vector
   path, bit for bit at every narrow width, and against the loop at
   S·N ≥ 2;
 * SoC trace mode: the segments engine's trace and accumulators against
@@ -588,12 +588,20 @@ def assert_bitwise(got: np.ndarray, want: np.ndarray, label: str) -> None:
     )
 
 
+def scalar_routed(t: int, flat: int) -> bool:
+    """Whether ``run_dispatch_segments`` sends a float64 call T steps and
+    S·N = ``flat`` cells wide to the scalar path."""
+    lanes = kernel._lane_plan(t, flat)[0]
+    return flat <= kernel._SCALAR_CELLS and flat * lanes <= kernel._SCALAR_LANE_CELLS
+
+
 class TestNarrowPath:
     """The segments engine's scalar path against its vector path.
 
     ``run_dispatch_segments`` sends float64 calls of at most
-    ``kernel._SCALAR_CELLS`` cells to a per-cell body on Python floats
-    (:func:`kernel._segments_scalar`, which lane re-runs mirror); its
+    ``kernel._SCALAR_CELLS`` cells whose lane step would be narrow to a
+    per-cell body on Python floats (:func:`kernel._segments_scalar`,
+    which lane re-runs mirror); its
     accumulators and SoC trace must be the vector path's bits at every
     width it is called at here, S·N = 1 fold included, and the loop's at
     S·N ≥ 2.  Layouts 1×k, k×1 and 2×2 up to seven cells; horizons end on
@@ -601,8 +609,7 @@ class TestNarrowPath:
     6-step one after a full chunk (T = 70, left to right).
     """
 
-    #: Widest layout: the crossover before the vector step ran in time
-    #: lanes was six cells.
+    #: Widest layout: one past the widest scalar-routed call (six cells).
     WIDEST = 7
     LAYOUTS = sorted(
         {(1, k) for k in range(1, WIDEST + 1)}
@@ -630,7 +637,7 @@ class TestNarrowPath:
                 want = kernel._segments_vector(
                     stack, *cands, params, policy=policy, trace_soc=trace_soc
                 )
-                if s * n <= kernel._SCALAR_CELLS:
+                if scalar_routed(stack.n_steps, s * n):
                     routed = kernel.run_dispatch_segments(
                         stack, *cands, params, policy=policy, trace_soc=trace_soc
                     )
@@ -650,6 +657,33 @@ class TestNarrowPath:
         rng = np.random.default_rng(12_000 + 100 * s + 10 * n + t)
         stack = random_stack(rng, s, t, step_s)
         self._check(stack, self.candidates(rng, n), random_params(rng), f"S={s} N={n} T={t}")
+
+    def test_routing_follows_lane_plan(self, monkeypatch):
+        """Narrow float64 calls run the scalar path unless their lane step
+        would hold more than ``_SCALAR_LANE_CELLS`` cells: a 720-step call
+        (8 lanes) keeps two cells scalar and runs four in lanes; a 1 440-step
+        one (16 lanes) runs two in lanes; one cell, and anything short
+        enough for one lane up to six cells, stays scalar; float32 and
+        seven cells never do."""
+        taken = []
+        for name in ("_segments_scalar", "_segments_vector"):
+            monkeypatch.setattr(kernel, name, lambda *a, _n=name, **k: taken.append(_n))
+        rng = np.random.default_rng(12_400)
+        cases = (
+            (720, 2, np.float64, True), (720, 4, np.float64, False),
+            (1_440, 1, np.float64, True), (1_440, 2, np.float64, False),
+            (100, 6, np.float64, True), (100, 7, np.float64, False),
+            (100, 1, np.float32, False),
+        )
+        for t, n, dtype, scalar in cases:
+            assert scalar_routed(t, n) == scalar or dtype == np.float32
+            taken.clear()
+            stack = random_stack(rng, 1, t, 3_600.0)
+            kernel.run_dispatch_segments(
+                stack, *random_candidates(rng, n), random_params(rng), dtype=dtype
+            )
+            want = "_segments_scalar" if scalar else "_segments_vector"
+            assert taken == [want], (t, n, np.dtype(dtype).name)
 
     def test_net_load_hits_signed_zero(self):
         """Steps whose net load is exactly 0.0 or -0.0: idle generation
@@ -863,6 +897,48 @@ class TestTimeLanes:
             got = run_lanes(stack, cands, params, plan=plan, trace_soc=True)
             assert_bitwise(result_rows(got), result_rows(want), f"zero generation {plan}")
             assert len(steps) == 8 and max(steps.values()) <= stack.n_steps
+
+    @pytest.mark.parametrize("step_s", [900.0, 3_600.0])
+    def test_rerun_is_the_scalar_trajectory(self, step_s):
+        """``kernel._rerun`` mirrors the scalar path's battery step.  Run
+        from a cell's start energy against stored energies it never meets
+        (-1.0), it returns the cell's whole trajectory, whose SoC (energy
+        over safe capacity) must be ``_segments_scalar``'s trace bit for
+        bit: every lowerable policy, a zero-capacity battery, a NaN load
+        step."""
+        rng = np.random.default_rng(32_100 + int(step_s))
+        s, n, t = 2, 4, 60
+        stack = random_stack(rng, s, t, step_s)
+        stack.load_w[1, 25] = np.nan
+        solar_kw, turbine, cap = random_candidates(rng, n)
+        cap[1] = 0.0
+        params = random_params(rng)
+        dt_h = step_s / SECONDS_PER_HOUR
+        soc0 = float(np.clip(0.5, params.soc_min, params.soc_max))
+        span = max(params.soc_max - params.taper_soc_threshold, 1e-9)
+        profiles = (stack.solar_per_kw_w, stack.wind_per_turbine_w, stack.load_w)
+        for policy in random_policies(np.random.default_rng(t), s):
+            want = kernel._segments_scalar(
+                stack, solar_kw, turbine, cap, params, policy=policy, trace_soc=True
+            ).soc
+            table = kernel._lowered(policy, stack)[1]
+            for si, ni in itertools.product(range(s), range(n)):
+                c = float(cap[ni])
+                safe = max(c, 1e-12)
+                consts = (
+                    c * params.soc_max, c * params.soc_min, c * params.max_discharge_c_rate,
+                    params.eta_discharge, c * params.max_charge_c_rate, safe, span,
+                    params.eta_charge, 1.0 - params.self_discharge_per_hour * dt_h,
+                    params.soc_max,
+                )
+                e0 = c * soc0
+                energies = kernel._rerun(
+                    e0, *(a[si].tolist() for a in profiles), table[:, si].tolist(),
+                    [-1.0] * t, float(solar_kw[ni]), float(turbine[ni]), consts, dt_h,
+                )
+                assert len(energies) == t
+                got = [e / safe for e in (e0, *energies)]
+                assert_bitwise(got, want[si, ni], f"{type(policy).__name__} cell {si},{ni}")
 
     def test_lane_plan(self):
         """The lane rule: narrow long calls run in lanes, wide or short
