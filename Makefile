@@ -41,8 +41,9 @@ regression:
 # paper's Houston study (segments engine), the raced ensemble whose
 # rainflow fade runs the SoC-trace path, and the one-remote-worker study,
 # all at seed 42.  remote_1w evaluates one candidate per call, so it is
-# the only workload whose references pin the segments engine at S*N = 1.
-# A remote_1w study takes about 3 s on a 2-CPU host, so even a short
+# the only workload whose references pin the segments engine at S*N = 1
+# (full-year one-cell calls, which run in time lanes).  A remote_1w
+# study takes about 1 s on a 2-CPU host, so even a short
 # PERFBENCH_SECONDS run makes a few studies.  run.py exits 0 even
 # when a Pareto front differs from perfbench/references.json, so each
 # run's last output line (JSON) is checked for "correct": true here.

@@ -21,10 +21,10 @@ through it.  This module provides two drop-in replacements that compute
     * time steps are processed in chunks — the net-load/request prologue
       and the grid/cost/emissions epilogue run once per chunk over
       ``(chunk, S, N)`` tensors instead of once per step.  The chunk is
-      sized from the call's width (64 steps for narrow calls, 8 for wide
-      ones); the per-step contributions are folded into the totals left
-      to right (in fixed 8-step groups at S·N = 1, where numpy's reduce
-      is pairwise);
+      sized from the call's width (4 096 steps at one cell, 8 from 512
+      cells); the per-step contributions are folded into the totals left
+      to right (at S·N = 1 as numpy's pairwise reduce of fixed 8-step
+      groups, built for a whole chunk at once);
     * the paper's candidate grid repeats each (solar, wind) pair over the
       battery axis, so net load is computed on the ~9× smaller set of
       unique pairs and broadcast back;
@@ -35,9 +35,9 @@ through it.  This module provides two drop-in replacements that compute
       operation writes into preallocated buffers (zero allocations in
       the inner loop).  An hourly step costs 18 ufunc calls;
     * those 18 dispatches cost about the same at any narrow width, so a
-      float64 one-cell call (a one-candidate remote evaluation, say)
-      runs the same operations on Python floats instead, with the same
-      bits.
+      float64 call of a few cells too short for many lanes (a one-cell
+      call of up to 1 440 steps, say) runs the same operations on Python
+      floats instead, with the same bits.
 
     Each replaced expression is an exact floating-point identity of the
     reference loop's (same IEEE-754 operations, same order), so the
@@ -318,14 +318,27 @@ def _candidate_groups(
 _FOLD_STEPS = 8
 #: Cell budget (steps × S·N) of one prologue/epilogue chunk buffer.
 _CHUNK_CELLS = 4096
-#: Longest prologue/epilogue chunk, in steps.
-_CHUNK_MAX_STEPS = 64
 #: Trajectory cells (steps × S·N) of one lane window: 480 KiB in float64.
 #: A 512 KiB budget measured +1.0 MB of ensemble_ladder peak RSS, this one
 #: +0.36 MB.
 _LANE_WINDOW_CELLS = 61440
 #: Most lanes, cells per lane step, and steps each lane warms up for.
-_LANES_MAX = 16
+#: The lane-step and lane-length bounds limit all but the narrowest long
+#: calls: a full-year call gets 128 lanes up to 7 cells, 64 up to 14, 32
+#: up to 29 and 16 up to 56; a 720-step call at most 8.  Against a cap of
+#: 16 (with chunks of at most 64 steps), per call, min ms of interleaved
+#: runs in one process (the host as in the ``_SCALAR_CELLS`` table):
+#:
+#:   calls (T × S·N)                  lanes      cap 16 → cap 128
+#:   8 760 × 1                        128        10.9 (scalar path) → 2.8
+#:   8 760 × 21 / 23 / 24             16 → 32    29.0 / 31.2 / 27.9 → 29.6 / 32.7 / 28.2
+#:   8 760 × 30 / 32 / 41 / 50        16         27.5 / 28.7 / 40.6 / 40.4
+#:                                               → 25.5 / 27.1 / 39.3 / 39.2
+#:   a seed-42 paper_houston study's  16 or 32   230 → 228 (median of 21: 247 → 243)
+#:     7 calls (8 760 × 21–50), summed
+#:   a seed-42 ensemble_ladder        ≤ 8        463 → 466 (median of 11: 490 → 489)
+#:     study's 88 calls (720 × 4–160), summed
+_LANES_MAX = 128
 _LANE_STEP_CELLS = 1024
 _LANE_OVERLAP = 64
 #: Widest call (S·N) run in lanes.  Past it a step's cost grows with its
@@ -346,10 +359,15 @@ _LANE_MAX_CELLS = 100
 #:   336 (4)         2.36 / 0.81  2.20 / 1.11  2.24 / 1.67  2.57 / 2.20
 #:   720 (8)         2.50 / 1.57  2.53 / 2.23  2.53 / 3.14  2.65 / 4.87
 #:   1 440 (16)      3.29 / 3.15  3.72 / 4.91  3.41 / 6.77  3.64 / 9.29
-#:   8 760 (16)      14.4 / 21.6  20.1 / 27.6  15.3 / 37.2  15.3 / 61.2
+#:   8 760 (128)     5.07 / 17.6  6.34 / 26.2  9.35 / 35.4  8.07 / 53.3
 #:
-#: Scalar wins, or ties, while lanes × S·N ≤ 16; so one cell always stays
-#: scalar (``_LANES_MAX`` is 16).
+#: and at one cell (mean of six paper compositions):
+#:
+#:   T (lanes)       720 (8)      1 440 (16)   2 184 (32)   8 760 (128)
+#:   S·N = 1         2.52 / 1.17  1.79 / 1.92  2.38 / 2.85  2.76 / 10.9
+#:
+#: Scalar wins, or ties, while lanes × S·N ≤ 16: one cell stays scalar up
+#: to 1 440 steps, and a full-year one runs in 128 lanes.
 _SCALAR_CELLS = 6
 _SCALAR_LANE_CELLS = 16
 
@@ -366,6 +384,7 @@ def _lane_plan(t_steps: int, flat: int) -> tuple[int, int, int]:
     their steps warming up.  Calls wider than ``_LANE_MAX_CELLS`` get one
     lane: the sequential step.
     """
+    flat = max(flat, 1)  # a call with no cells plans as one cell
     window = max(_FOLD_STEPS, _LANE_WINDOW_CELLS // flat // _FOLD_STEPS * _FOLD_STEPS)
     long_enough = (min(window, t_steps) - _LANE_OVERLAP) // _LANE_OVERLAP
     fit = min(_LANES_MAX, _LANE_STEP_CELLS // flat, long_enough)
@@ -380,13 +399,13 @@ def _lane_plan(t_steps: int, flat: int) -> tuple[int, int, int]:
 def _chunk_steps(flat: int) -> int:
     """Steps per prologue/epilogue chunk for a call ``flat`` = S·N cells wide.
 
-    Whole fold groups, at most ``_CHUNK_MAX_STEPS``, and no more than fit
-    ``_CHUNK_CELLS``: narrow calls amortize the chunk's ufunc calls over
-    64 steps, while wide calls (S·N ≥ 512) keep 8-step chunks, whose
-    buffers stay in cache (a fixed 64-step chunk measured slower there).
+    Whole fold groups, as many as fit ``_CHUNK_CELLS``: narrow calls
+    amortize the chunk's ufunc calls over many steps (4 096 at one cell,
+    192 at 21 cells, 80 at 50), while wide calls (S·N ≥ 512) keep 8-step
+    chunks, whose buffers stay in cache (a fixed 64-step chunk measured
+    slower there).  No output's bits depend on the chunk length.
     """
-    folds = min(_CHUNK_MAX_STEPS, _CHUNK_CELLS // flat) // _FOLD_STEPS
-    return _FOLD_STEPS * max(1, folds)
+    return _FOLD_STEPS * max(1, _CHUNK_CELLS // flat // _FOLD_STEPS)
 
 
 def run_dispatch_segments(
@@ -454,7 +473,7 @@ def _dispatch_result(totals: np.ndarray, soc_rows: np.ndarray | None) -> Dispatc
         # A transposed view, not a copy: a copy would double the trace's
         # peak memory.
         soc = soc_rows.astype(np.float64, copy=False)
-        soc = soc.reshape(-1, *totals.shape[1:]).transpose(1, 2, 0)
+        soc = soc.reshape(len(soc), *totals.shape[1:]).transpose(1, 2, 0)
     # Exact for f64, exact widening for f32; rows in the fields' order.
     return DispatchResult(*totals.astype(np.float64), soc=soc)
 
@@ -499,6 +518,42 @@ def _fold_group(steps, t_steps: int) -> tuple[float, ...]:
     if len(tail) == _FOLD_STEPS - 1:
         return tuple(map(_sum7, totals, *tail))
     return _fold_left(tail, totals)
+
+
+def _fold_pairwise(steps: np.ndarray, totals: np.ndarray, rows: np.ndarray) -> None:
+    """The vector step's fold at S·N = 1, for a whole chunk at once.
+
+    Adds ``steps`` (accumulators × b steps) into ``totals`` bit for bit
+    as one ``np.add.reduce`` per contiguous ``[total, c1..c8]`` from the
+    chunk's first step would.  numpy sums such a group pairwise, which is
+    the left fold of the total over ``c1, c2+c3, (c4+c5)+(c6+c7), c8``;
+    a 7-step tail drops ``c8``, and a shorter one adds left to right.
+    Those terms are built for every group at once into ``rows`` (at least
+    ``4·(b//8) + 8`` rows, accumulators the contiguous inner axis), and
+    one reduce down the rows folds them left to right from the totals.
+    Fixing the fold deletes this helper with :func:`_fold_group`.
+    """
+    n_acc, b = steps.shape
+    if b == 0:
+        return
+    g, tail = divmod(b, _FOLD_STEPS)
+    x = steps[:, : b - tail].reshape(n_acc, g, _FOLD_STEPS)
+    terms = rows[1 : 1 + 4 * g].reshape(g, 4, n_acc).transpose(2, 0, 1)
+    np.add(x[..., 1:7:2], x[..., 2:7:2], out=terms[..., 1:])  # c2+c3, c4+c5, c6+c7
+    np.add(terms[..., 2], terms[..., 3], out=terms[..., 2])
+    np.copyto(terms[..., ::3], x[..., ::7])  # c1, c8
+    m = 1 + 4 * g
+    last = steps[:, b - tail :].T
+    if tail == _FOLD_STEPS - 1:
+        rows[m] = last[0]
+        np.add(last[1:7:2], last[2:7:2], out=rows[m + 1 : m + 4])
+        np.add(rows[m + 2], rows[m + 3], out=rows[m + 2])
+        m += 3
+    else:
+        rows[m : m + tail] = last
+        m += tail
+    rows[0] = totals
+    np.add.reduce(rows[:m], axis=0, out=totals)
 
 
 def _segments_scalar(
@@ -721,14 +776,13 @@ def _segments_lanes(
     dt_h = stack.step_s / SECONDS_PER_HOUR
     unit_dt = dt_h == 1.0
     flat = s * n
+    if flat == 0:  # no cells, nothing to step (the constants below read cell 0)
+        return _dispatch_result(
+            np.zeros((8, s, n), dtype=f), np.empty((t_steps + 1, 0), dtype=f) if trace_soc else None
+        )
     blk = _chunk_steps(flat)
     if lanes == 1:
         window = blk  # one lane steps chunk by chunk, as the sequential step does
-    # At S·N > 1 numpy reduces the fold's (outer) step axis left to right,
-    # so one reduce over a whole chunk adds exactly as _FOLD_STEPS-step
-    # groups do; at S·N = 1 it sums pairwise, and the group is part of
-    # the sums.
-    fold = _FOLD_STEPS if flat == 1 else blk
     window = _FOLD_STEPS * max(1, -(-min(window, t_steps) // _FOLD_STEPS))
     # Steps per lane-prologue chunk.
     lane_blk = blk if lanes == 1 else max(1, _CHUNK_CELLS // (lanes * flat))
@@ -825,19 +879,23 @@ def _segments_lanes(
             np.copyto(rn, rn_u[..., None])
 
     def buffers(shape):
-        """net, rp, rn (shape + (S, N)) and their unique-pair views."""
-        full = np.empty((3, *shape, s, n), dtype=f)
+        """net, rp, rn (shape + (S, N)) and their unique-pair views, laid
+        over the start of the shared pools below."""
+        cells = 3 * s * int(np.prod(shape))
+        full = pool[: cells * n].reshape(3, *shape, s, n)
         if not grouped:
             return (*full, *full)
-        uniq = np.empty((3, *shape, s, u), dtype=f)
+        uniq = uniq_pool[: cells * u].reshape(3, *shape, s, u)
         return (*full.reshape(3, *shape, s, u, group), *uniq)
 
     # Accumulator rows (matching the reference loop's += order):
     #   0 import | 1 export | 2 charge | 3 discharge | 4 unserved
     #   5 emissions | 6 cost | 7 islanded steps
     # Each chunk writes per-step contributions into contrib[:, 1:b+1] and
-    # folds them `fold` steps at a time: the running total goes into the
-    # column just before the group, and one add.reduce sums the group.
+    # folds them into the totals.  At S·N > 1 the running total goes into
+    # column 0 and one add.reduce sums the chunk: numpy reduces that
+    # (outer) step axis left to right, as the loop's += does.  At S·N = 1
+    # it sums pairwise, in 8-step groups (_fold_pairwise).
     n_acc = 8
     totals = np.zeros((n_acc, s, n), dtype=f)
     contrib = np.empty((n_acc, blk + 1, s, n), dtype=f)
@@ -845,14 +903,19 @@ def _segments_lanes(
     if islanded:
         contrib[5] = 0.0  # no grid import → no operational emissions
     # Lane-prologue buffers and chunk buffers (rp/rn double as kWh scratch
-    # in the epilogue, and net holds the residual there).  One lane's
-    # prologue fills the chunk buffers: its window is the chunk.
+    # in the epilogue, and net holds the residual there), and at S·N = 1
+    # the fold's rows.  The lane pass and the chunk pass never overlap,
+    # nor the epilogue and the fold, so they share one pool.  One lane's
+    # prologue fills the chunk buffers (the same memory): its window is
+    # the chunk.
+    pool_steps = max(lane_blk * lanes, blk)
+    pair_size = (4 * (blk // _FOLD_STEPS) + 8) * n_acc if flat == 1 else 0
+    pool = np.empty(max(3 * pool_steps * flat, pair_size), dtype=f)
+    uniq_pool = np.empty(3 * pool_steps * s * u, dtype=f) if grouped else None
+    pair_rows = pool[:pair_size].reshape(-1, n_acc) if flat == 1 else None
     lane_bufs = buffers((lane_blk, lanes))
     lane_rp, lane_rn = (a.reshape(lane_blk, lanes, flat) for a in lane_bufs[1:3])
-    if lanes == 1:
-        chunk_bufs = tuple(a.reshape(blk, *a.shape[2:]) for a in lane_bufs)
-    else:
-        chunk_bufs = buffers((blk,))
+    chunk_bufs = buffers((blk,))
     net, rp, rn = (a.reshape(blk, s, n) for a in chunk_bufs[:3])
     # The time-vectorized step works in contrib rows: headroom becomes
     # the charge row, available the discharge row, and the export and
@@ -1100,10 +1163,12 @@ def _segments_lanes(
                 sub(cost_c, export_kwh, cost_c)
             np.less_equal(deficit_c, eps_wh, out=isl_c)
 
-            for g0 in range(0, b, fold):
-                g1 = min(g0 + fold, b)
-                contrib[:, g0] = totals
-                np.add.reduce(contrib[:, g0 : g1 + 1], axis=1, out=totals)
+            if pair_rows is None:
+                contrib[:, 0] = totals
+                np.add.reduce(contrib[:, : b + 1], axis=1, out=totals)
+            else:
+                steps_b = contrib[:, 1 : b + 1].reshape(n_acc, b)
+                _fold_pairwise(steps_b, totals.reshape(n_acc), pair_rows)
 
         np.copyto(traj[0], traj[tw])
 

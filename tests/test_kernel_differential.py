@@ -20,8 +20,11 @@ the property-fuzz harness that enforces it:
   batteries, saturating charge limits, single-step horizons, and
   all-idle discharge windows;
 * horizons that cross the segments engine's prologue/epilogue chunks in
-  every chunk-width band, and a pin on its S·N = 1 sums until the fold
+  every chunk-width band, and pins on its S·N = 1 sums until the fold
   there is fixed;
+* one-cell calls long enough for time lanes (a full Houston year among
+  them) against the scalar path, bit for bit, and the chunk-wide S·N = 1
+  fold (``kernel._fold_pairwise``) against numpy's per-group reduce;
 * the segments engine's narrow path (the scalar body that narrow
   float64 calls take, see ``kernel._SCALAR_CELLS``) against its vector
   path, bit for bit at every narrow width, and against the loop at
@@ -435,6 +438,36 @@ class TestEdgeRegimes:
         for policy in random_policies(rng, 3):
             self._check(stack, *cands, random_params(rng), policy, "single-step")
 
+    def test_zero_candidates(self):
+        """No candidates: every engine returns ``(S, 0)`` totals, and an
+        ``(S, 0, T+1)`` SoC trace when traced, as the loop does; the lane
+        plan must not divide by S·N = 0."""
+        rng = np.random.default_rng(17)
+        none = np.empty(0)
+        params = random_params(rng)
+        for t in (25, 8_760):
+            stack = random_stack(rng, 2, t, 3_600.0)
+            for trace_soc in (False, True):
+                loop = run_dispatch(stack, none, none, none, params, engine="loop",
+                                    trace_soc=trace_soc)
+                runs = {
+                    engine: run_dispatch(stack, none, none, none, params, engine=engine,
+                                         trace_soc=trace_soc)
+                    for engine in ("auto", "segments")
+                }
+                for dtype in (np.float64, np.float32):
+                    runs[np.dtype(dtype).name] = kernel.run_dispatch_segments(
+                        stack, none, none, none, params, dtype=dtype, trace_soc=trace_soc
+                    )
+                for name, got in runs.items():
+                    label = f"T={t} trace={trace_soc} {name}"
+                    assert result_rows(got).shape == result_rows(loop).shape == (8, 2, 0), label
+                    assert result_rows(got).dtype == np.float64, label
+                    if trace_soc:
+                        assert got.soc.shape == loop.soc.shape == (2, 0, t + 1), label
+                    else:
+                        assert got.soc is None and loop.soc is None, label
+
     @pytest.mark.xfail(
         strict=True,
         reason="known defect: at S*N = 1 the segments engine's fold "
@@ -500,15 +533,20 @@ class TestEdgeRegimes:
 class TestMultiChunkFuzz:
     """Horizons that cross the segments engine's prologue/epilogue chunks.
 
-    The chunk length follows S·N (64 steps up to 64 cells, 24 at ~160
-    cells, 8 from 512 cells), while the accumulator fold keeps 8-step
-    groups.  Every band is driven across chunk edges (T = 63, 64, 65,
-    130, 203), hourly and sub-hourly, untraced and with the SoC trace;
-    so is a one-cell call (S·N = 1).
+    The chunk length c follows S·N (``kernel._chunk_steps``: 224 steps at
+    18 cells, 24 at 160, 8 from 512, 4 096 at one cell), while the
+    accumulator fold keeps 8-step groups at S·N = 1.  Every band is
+    driven across chunk edges (T = c−1, c, c+1, 2c+2, 3c+11), hourly and
+    sub-hourly, untraced and with the SoC trace; so are one-cell calls,
+    on the scalar path (short) and in lanes (longer than a chunk).
     """
 
-    #: (S, N, expected chunk steps) per chunk-width band
-    BANDS = {"narrow": (2, 9, 64), "mid": (2, 80, 24), "wide": (2, 260, 8)}
+    #: (S, N) per chunk-width band
+    BANDS = {"narrow": (2, 9), "mid": (2, 80), "wide": (2, 260)}
+    #: Horizons across chunk edges as (chunks, extra steps): c−1, c, c+1,
+    #: 2c+2, 3c+11.  Each case keeps the id it had when every band's
+    #: horizon was counted in 64-step chunks (63, 64, 65, 130, 203).
+    EDGES = {63: (1, -1), 64: (1, 0), 65: (1, 1), 130: (2, 2), 203: (3, 11)}
 
     def _check(self, stack, cands, params, label):
         s, n, t = stack.n_scenarios, cands[0].size, stack.n_steps
@@ -530,16 +568,45 @@ class TestMultiChunkFuzz:
                     np.testing.assert_array_equal(got.soc, loop.soc, err_msg=f"{tag}: SoC")
 
     @pytest.mark.parametrize("step_s", [900.0, 3_600.0])
-    @pytest.mark.parametrize("t", [63, 64, 65, 130, 203])
+    @pytest.mark.parametrize("edge", sorted(EDGES))
     @pytest.mark.parametrize("band", sorted(BANDS))
-    def test_bitwise_across_chunks(self, band, t, step_s):
-        s, n, chunk = self.BANDS[band]
-        assert kernel._chunk_steps(s * n) == chunk
-        rng = np.random.default_rng(9_000 + t)
+    def test_bitwise_across_chunks(self, band, edge, step_s):
+        s, n = self.BANDS[band]
+        chunks, extra = self.EDGES[edge]
+        t = chunks * kernel._chunk_steps(s * n) + extra
+        rng = np.random.default_rng(9_000 + edge)
         stack = random_stack(rng, s, t, step_s)
         self._check(
             stack, random_candidates(rng, n), random_params(rng), f"{band} T={t} dt={step_s}"
         )
+
+    @pytest.mark.parametrize("step_s", [900.0, 3_600.0])
+    @pytest.mark.parametrize("chunks, extra", [(1, 1), (1, 7), (2, 2), (3, 11)])
+    def test_single_cell_lanes_across_chunks(self, chunks, extra, step_s):
+        """One cell, past one chunk and ending on a 1-7-step fold tail,
+        runs in time lanes with the pairwise fold built per chunk
+        (``kernel._fold_pairwise``): its accumulators and SoC trace must
+        be ``_segments_scalar``'s bits (the loop's differ at S·N = 1)."""
+        t = chunks * kernel._chunk_steps(1) + extra
+        assert t > kernel._chunk_steps(1) and 1 <= t % kernel._FOLD_STEPS <= 7
+        assert not scalar_routed(t, 1)
+        rng = np.random.default_rng(9_200 + t)
+        stack = random_stack(rng, 1, t, step_s)
+        params = random_params(rng)
+        for cap_wh in (0.0, 100.0, 3e7):
+            cands = (rng.uniform(0.0, 2_000.0, 1), rng.uniform(0.0, 10.0, 1), np.array([cap_wh]))
+            for policy in random_policies(rng, 1):
+                label = f"T={t} dt={step_s} cap={cap_wh} {type(policy).__name__}"
+                for trace_soc in (False, True):
+                    want = kernel._segments_scalar(
+                        stack, *cands, params, policy=policy, trace_soc=trace_soc
+                    )
+                    got = kernel.run_dispatch_segments(
+                        stack, *cands, params, policy=policy, trace_soc=trace_soc
+                    )
+                    assert_bitwise(result_rows(got), result_rows(want), f"{label} {trace_soc}")
+                    if trace_soc:
+                        assert_bitwise(got.soc, want.soc, f"{label}: SoC")
 
     @pytest.mark.parametrize("step_s", [900.0, 3_600.0])
     def test_single_cell_step(self, step_s):
@@ -662,9 +729,10 @@ class TestNarrowPath:
         """Narrow float64 calls run the scalar path unless their lane step
         would hold more than ``_SCALAR_LANE_CELLS`` cells: a 720-step call
         (8 lanes) keeps two cells scalar and runs four in lanes; a 1 440-step
-        one (16 lanes) runs two in lanes; one cell, and anything short
-        enough for one lane up to six cells, stays scalar; float32 and
-        seven cells never do."""
+        one (16 lanes) keeps one cell scalar and runs two in lanes; a
+        full-year one (128 lanes at one cell) runs one cell in lanes;
+        anything short enough for one lane up to six cells stays scalar;
+        float32 and seven cells never do."""
         taken = []
         for name in ("_segments_scalar", "_segments_vector"):
             monkeypatch.setattr(kernel, name, lambda *a, _n=name, **k: taken.append(_n))
@@ -672,6 +740,7 @@ class TestNarrowPath:
         cases = (
             (720, 2, np.float64, True), (720, 4, np.float64, False),
             (1_440, 1, np.float64, True), (1_440, 2, np.float64, False),
+            (8_760, 1, np.float64, False),
             (100, 6, np.float64, True), (100, 7, np.float64, False),
             (100, 1, np.float32, False),
         )
@@ -746,6 +815,41 @@ class TestNarrowPath:
                         want[j] = np.add.reduce(group)
             got = kernel._fold_group(iter(map(tuple, steps.tolist())), t)
             assert_bitwise(got, want, f"T={t} draw {draw}")
+
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_fold_pairwise_is_numpy_group_reduce(self, dtype):
+        """``kernel._fold_pairwise`` against numpy itself: one
+        ``np.add.reduce`` over each contiguous ``[total, c1..c8]`` of a
+        chunk, as the vector step folded at S·N = 1 group by group.  Two
+        chunks in a row (the second continues the first's totals), every
+        chunk length 0..40 (so every tail, the pairwise 7-step one
+        included), float64 and float32, magnitudes 1e-3..1e9 of either
+        sign, ±0.0, NaN and ±inf mixed in; compared by bit pattern."""
+        rng = np.random.default_rng(22_100)
+        specials = np.array([0.0, -0.0, np.nan, np.inf, -np.inf])
+        bits = np.dtype(f"u{np.dtype(dtype).itemsize}")
+        rows = np.empty((4 * 5 + 8, 8), dtype=dtype)
+        for draw in range(41 * 12):
+            lengths = (draw % 41, int(rng.integers(0, 41)))
+            chunks = []
+            for b in lengths:
+                steps = 10.0 ** rng.uniform(-3.0, 9.0, (8, b)) * rng.choice([-1.0, 1.0], (8, b))
+                special = rng.random((8, b)) < (draw % 4) * 0.05
+                steps[special] = rng.choice(specials, int(special.sum()))
+                chunks.append(steps.astype(dtype))
+            want = np.zeros(8, dtype=dtype)
+            got = np.zeros(8, dtype=dtype)
+            with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, float32 overflow
+                for steps in chunks:
+                    for g0 in range(0, steps.shape[1], kernel._FOLD_STEPS):
+                        for j in range(8):
+                            group = np.concatenate(([want[j]], steps[j, g0 : g0 + 8]))
+                            want[j] = np.add.reduce(group)
+                    kernel._fold_pairwise(steps, got, rows)
+            np.testing.assert_array_equal(
+                got.view(bits), want.view(bits), err_msg=f"{lengths} draw {draw}"
+            )
 
 
 def run_lanes(stack, cands, params, policy=None, plan=(1, 0, None), dtype=np.float64,
@@ -944,6 +1048,7 @@ class TestTimeLanes:
         """The lane rule: narrow long calls run in lanes, wide or short
         ones sequentially, and a window never holds more trajectory cells
         than its budget."""
+        assert kernel._lane_plan(8_760, 1)[0] == 128
         assert kernel._lane_plan(8_760, 50)[0] == 16
         assert kernel._lane_plan(720, 60)[0] == 8
         assert kernel._lane_plan(8_760, 1_089)[0] == 1
@@ -973,6 +1078,76 @@ class TestTimeLanes:
         params = CLCParameters(capacity_wh=1.0)
         assert kernel._lane_plan(stack.n_steps, 50)[0] > 1
         for trace_soc, limit_mb in ((False, 1.5), (True, 3.9 + 1.0)):
+            tracemalloc.start()
+            try:
+                kernel.run_dispatch_segments(stack, *cands, params, trace_soc=trace_soc)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= limit_mb * 1e6, f"trace={trace_soc}: {peak / 1e6:.2f} MB"
+
+    @pytest.mark.parametrize("step_s", [900.0, 3_600.0])
+    def test_one_cell_full_year(self, houston, step_s):
+        """One cell over a full Houston year runs in lanes (128 of them),
+        bit for bit as ``_segments_scalar``, accumulators and SoC trace:
+        a cell with no generation (every boundary misses and re-runs), a
+        zero-capacity battery, and a NaN load step."""
+        stack = dataclasses.replace(stack_scenarios([houston]), step_s=step_s)
+        nan_load = dataclasses.replace(stack, load_w=stack.load_w.copy())
+        nan_load.load_w[0, 4_000] = np.nan
+        params = CLCParameters(capacity_wh=1.0)
+        assert kernel._lane_plan(stack.n_steps, 1)[0] == 128
+        assert not scalar_routed(stack.n_steps, 1)
+        cases = (
+            ("zero generation", stack, MicrogridComposition(0, 0.0, 4)),
+            ("zero capacity", stack, MicrogridComposition(3, 12_000.0, 0)),
+            ("NaN load", nan_load, MicrogridComposition(4, 20_000.0, 3)),
+        )
+        for label, st, comp in cases:
+            cands = _candidate_vectors([comp])
+            for trace_soc in (False, True):
+                want = kernel._segments_scalar(st, *cands, params, trace_soc=trace_soc)
+                got = kernel.run_dispatch_segments(st, *cands, params, trace_soc=trace_soc)
+                tag = f"{label} dt={step_s} trace={trace_soc}"
+                assert_bitwise(result_rows(got), result_rows(want), tag)
+                if trace_soc:
+                    assert_bitwise(got.soc, want.soc, f"{tag}: SoC")
+
+    #: A full-year hourly one-cell Houston call (4 turbines, 20 MW solar,
+    #: 3 battery units, default policy and battery), as the scalar path
+    #: computed it before such calls ran in lanes: import, export, charge,
+    #: discharge, unserved, emissions, cost, islanded steps.
+    ONE_CELL_YEAR_HEX = (
+        "0x1.cb27a4a1a7c8ap+28",
+        "0x1.8c3b6a28b4f16p+35",
+        "0x1.c758635b620f2p+30",
+        "0x1.978bf5df14b87p+30",
+        "0x0.0p+0",
+        "0x1.6e2183c159c71p+17",
+        "-0x1.7bdf1e026332dp+20",
+        "0x1.0690000000000p+13",
+    )
+
+    def test_one_cell_full_year_is_pinned(self, houston):
+        """A remote worker's call shape on the segments engine: its sums
+        feed the remote reference fronts, so they must stay these bits
+        until the S·N = 1 fold is fixed."""
+        stack = stack_scenarios([houston])
+        cands = _candidate_vectors([MicrogridComposition(4, 20_000.0, 3)])
+        got = run_dispatch(stack, *cands, CLCParameters(capacity_wh=1.0), engine="segments")
+        assert tuple(float(x).hex() for x in result_rows(got).reshape(-1)) == self.ONE_CELL_YEAR_HEX
+
+    def test_one_cell_full_year_memory(self, houston):
+        """One full-year one-cell call in lanes: its chunk buffers (4 096
+        steps), window and fold rows peaked at about 0.78 MB untraced and
+        0.85 MB traced under tracemalloc (0.13 and 0.18 MB on the scalar
+        path)."""
+        import tracemalloc
+
+        stack = stack_scenarios([houston])
+        cands = _candidate_vectors([MicrogridComposition(4, 20_000.0, 3)])
+        params = CLCParameters(capacity_wh=1.0)
+        for trace_soc, limit_mb in ((False, 1.0), (True, 1.1)):
             tracemalloc.start()
             try:
                 kernel.run_dispatch_segments(stack, *cands, params, trace_soc=trace_soc)

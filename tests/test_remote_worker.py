@@ -508,7 +508,7 @@ class TestKillARemoteWorker:
         self, tmp_path, scheme
     ):
         suffix = "jsonl" if scheme == "journal" else "db"
-        svc_store = f"{scheme}://{tmp_path}/svc.{suffix}"
+        svc_store = f"{scheme}:///{tmp_path}/svc.{suffix}"
         reference_store = f"{tmp_path}/ref.{suffix}"
 
         # The single-process pipelined reference at the same (seed, speculate).

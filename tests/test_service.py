@@ -209,7 +209,7 @@ def _post_status(url, payload) -> int:
 @pytest.fixture()
 def http_service(tmp_path):
     """A bound HTTP server over a journal store, no worker threads."""
-    service = StudyService(f"journal://{tmp_path}/svc.jsonl", stale_after=0.0)
+    service = StudyService(f"journal:///{tmp_path}/svc.jsonl", stale_after=0.0)
     server = make_server(service)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -354,7 +354,7 @@ class TestHttpApi:
         HTTP and run via `repro study run` produce identical fronts."""
         suffix = "jsonl" if scheme == "journal" else "db"
         cli_store = f"{tmp_path}/cli.{suffix}"
-        svc_store = f"{scheme}://{tmp_path}/svc.{suffix}"
+        svc_store = f"{scheme}:///{tmp_path}/svc.{suffix}"
         assert (
             main(
                 ["study", "run", "--storage", cli_store, "--site", "houston",
@@ -416,7 +416,7 @@ class TestKillTheWorker:
     @pytest.mark.parametrize("scheme", ["journal", "sqlite"])
     def test_sigkilled_worker_resumes_to_the_identical_front(self, tmp_path, scheme):
         suffix = "jsonl" if scheme == "journal" else "db"
-        svc_store = f"{scheme}://{tmp_path}/svc.{suffix}"
+        svc_store = f"{scheme}:///{tmp_path}/svc.{suffix}"
         reference_store = f"{tmp_path}/ref.{suffix}"
 
         # The uninterrupted reference, via the plain CLI driver.
