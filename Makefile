@@ -20,7 +20,8 @@ bench:
 # tier-1 gate + tier-2 and bench collection sanity (imports and markers
 # stay valid without paying their wall-clock).  That job installs only
 # numpy and pytest; where scipy is installed, tests/test_special.py also
-# runs its scipy oracle for the wind Φ/Γ ports, as CI's njit leg does.
+# runs its scipy oracle for the wind Φ/Γ ports, as CI's scipy oracle job
+# does.
 ci:
 	PYTHONPATH=src python -m pytest -x -q
 	PYTHONPATH=src python -m pytest -q tests/test_driver_contract.py tests/test_pipeline.py tests/test_sampler_protocol.py

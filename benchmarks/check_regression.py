@@ -56,10 +56,6 @@ HEADLINE_METRICS: "dict[str, list[tuple[str, ...]]]" = {
     "BENCH_fidelity.json": [
         ("fidelity", "full_evals_saved_factor"),
     ],
-    # njit cells-per-second is deliberately untracked: the metric only
-    # exists on numba-equipped hosts and would read as a bogus
-    # regression wherever the baseline and the fresh run disagree on
-    # numba availability.
     "BENCH_dispatch.json": [
         ("dispatch", "cells_per_s", "loop"),
         ("dispatch", "cells_per_s", "segments"),

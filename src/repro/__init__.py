@@ -54,7 +54,6 @@ from .core import (
     project_emissions,
     run_blackbox_search,
     run_exhaustive_search,
-    run_pipelined_search,
     threshold_candidates,
 )
 from .exceptions import ReproError
@@ -83,7 +82,6 @@ __all__ = [
     "OptimizationRunner",
     "run_exhaustive_search",
     "run_blackbox_search",
-    "run_pipelined_search",
     "pareto_front",
     "paper_candidates",
     "threshold_candidates",

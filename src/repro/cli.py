@@ -329,7 +329,6 @@ def _spec_from_args(cfg: Config, args, sites: "list[str]"):
         racing=args.racing,
         fidelity=args.fidelity,
         pipeline=pipeline,
-        engine=args.engine,
         shards=args.shards,
     )
 
@@ -404,10 +403,6 @@ def cmd_study_resume(cfg: Config, args) -> int:
             check_resume_identity(name, md, requested)
     except OptimizationError as exc:
         raise SystemExit(str(exc)) from None
-    if args.engine:
-        # Engines are bit-for-bit identical (DESIGN.md §9), so an
-        # override never changes the front — unlike every key above.
-        study_spec = study_spec.replaced(engine=args.engine)
     try:
         result = study_spec.execute(
             storage, name, workers=args.workers, load_if_exists=True
@@ -805,14 +800,6 @@ def build_parser() -> argparse.ArgumentParser:
         "is provably unchanged, e.g. fidelity=lo,mid,full",
     )
     p_run.add_argument(
-        "--engine",
-        default="auto",
-        choices=["auto", "loop", "segments", "njit"],
-        help="dispatch execution engine (DESIGN.md §9): all engines are "
-        "bit-for-bit identical, so this changes throughput only "
-        "(auto = fastest available for the chosen policy)",
-    )
-    p_run.add_argument(
         "--pipeline",
         action="store_true",
         help="stream trials through worker slots with no generation "
@@ -838,14 +825,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="size of the --pipeline process pool for a pipelined study "
         "(default 1; a batched study runs in-process)",
-    )
-    p_res.add_argument(
-        "--engine",
-        default=None,
-        choices=["auto", "loop", "segments", "njit"],
-        help="dispatch engine override for this resume; engines are "
-        "bit-for-bit identical, so any choice reproduces the original "
-        "front (default: the study's persisted engine, else auto)",
     )
     p_res.add_argument(
         "--racing",

@@ -44,7 +44,6 @@ from .dispatch import (
     make_policy,
 )
 from .fastsim import BatchEvaluator, evaluate_across_scenarios
-from .kernel import ENGINES, HAS_NUMBA, resolve_engine
 from .pareto import pareto_front, pareto_points
 from .candidates import (
     greedy_diversity_candidates,
@@ -57,7 +56,6 @@ from .study_runner import (
     OptimizationRunner,
     run_blackbox_search,
     run_exhaustive_search,
-    run_pipelined_search,
 )
 from .study_spec import StudySpec, check_resume_identity
 from .finance import (
@@ -106,9 +104,6 @@ __all__ = [
     "CompositionEvaluator",
     "BatchEvaluator",
     "evaluate_across_scenarios",
-    "ENGINES",
-    "HAS_NUMBA",
-    "resolve_engine",
     "VectorizedPolicy",
     "DefaultDispatch",
     "IslandedDispatch",
@@ -130,7 +125,6 @@ __all__ = [
     "check_resume_identity",
     "run_exhaustive_search",
     "run_blackbox_search",
-    "run_pipelined_search",
     "CostParameters",
     "capex_usd",
     "net_present_cost_usd",

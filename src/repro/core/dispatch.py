@@ -397,27 +397,20 @@ def run_dispatch(
     policy: VectorizedPolicy | None = None,
     trace_soc: bool = False,
     trace_flows: bool = False,
-    engine: str = "auto",
 ) -> DispatchResult:
     """Advance all S × N (scenario, candidate) cells through one time loop.
 
     ``solar_kw`` / ``turbine_factor`` (turbine count × wake efficiency) /
     ``capacity_wh`` are ``(N,)`` candidate vectors; every per-step array
-    broadcasts to ``(S, N)``.  The hpc-parallel rule applies throughout:
-    vectorize across the independent axes (candidates *and* scenarios),
-    loop only over the one axis with sequential state — time, because the
-    battery couples consecutive steps.
+    broadcasts to ``(S, N)``.
 
-    ``engine`` selects the execution strategy (DESIGN.md §9): the
-    per-step reference ``"loop"`` below, the always-available
-    ``"segments"`` engine (calls of a few cells run on a scalar path
-    inside it, bit for bit as its vector path), the compiled ``"njit"``
-    engine, or ``"auto"`` (the default) which picks the fastest engine
-    that is bit-for-bit equal to the loop for this call.  A SoC trace
-    runs on ``"segments"``; per-step flow traces, policies outside the
-    standard five and a SoC trace of a single (scenario, candidate) cell
-    fall back to the loop.  Explicit compiled engines refuse instead of falling back — see
-    :func:`repro.core.kernel.resolve_engine`.
+    The call alone picks the path (DESIGN.md §9): per-step flow traces,
+    policies outside the five lowerable ones
+    (:func:`repro.core.kernel.is_lowerable`) and a SoC trace of a single
+    (scenario, candidate) cell run :func:`run_dispatch_loop`, everything
+    else :func:`repro.core.kernel.run_dispatch_segments`, which gives the
+    loop's bits except for the sums of one-cell calls (still folded
+    pairwise, the strict xfail in ``tests/test_kernel_differential.py``).
 
     Trace mode (``trace_soc`` / ``trace_flows``) additionally records the
     per-step SoC and power flows — the seam behind rainflow degradation,
@@ -425,25 +418,42 @@ def run_dispatch(
     conservation property tests.  Traces cost O(S·N·T) memory, so leave
     them off for large sweeps.
     """
-    if engine != "loop":
-        from . import kernel  # deferred: kernel imports this module
+    from . import kernel  # deferred: kernel imports this module
 
-        resolved = kernel.resolve_engine(engine, policy, trace_soc, trace_flows)
-        # Inexact segments fold at S·N = 1: test_single_cell_long_horizon_segments_bitwise
-        if engine == "auto" and trace_soc and stack.n_scenarios * solar_kw.size == 1:
-            resolved = "loop"
-        if resolved != "loop":
-            return kernel.run_compiled(
-                stack,
-                solar_kw,
-                turbine_factor,
-                capacity_wh,
-                params,
-                initial_soc=initial_soc,
-                policy=policy,
-                engine=resolved,
-                trace_soc=trace_soc,
-            )
+    # Inexact segments fold at S·N = 1: test_single_cell_long_horizon_segments_bitwise
+    one_cell_trace = trace_soc and stack.n_scenarios * solar_kw.size == 1
+    if trace_flows or one_cell_trace or not kernel.is_lowerable(policy):
+        return run_dispatch_loop(
+            stack, solar_kw, turbine_factor, capacity_wh, params,
+            initial_soc, policy, trace_soc, trace_flows,
+        )
+    return kernel.run_dispatch_segments(
+        stack, solar_kw, turbine_factor, capacity_wh, params,
+        initial_soc=initial_soc, policy=policy, trace_soc=trace_soc,
+    )
+
+
+def run_dispatch_loop(
+    stack: ScenarioStack,
+    solar_kw: np.ndarray,
+    turbine_factor: np.ndarray,
+    capacity_wh: np.ndarray,
+    params: CLCParameters,
+    initial_soc: float = 0.5,
+    policy: VectorizedPolicy | None = None,
+    trace_soc: bool = False,
+    trace_flows: bool = False,
+) -> DispatchResult:
+    """The reference dispatch loop: one vectorized step per time step.
+
+    The simplest statement of the dispatch semantics, and the oracle the
+    segments engine is tested against bit for bit.  The hpc-parallel rule
+    applies throughout: vectorize across the independent axes
+    (candidates *and* scenarios), loop only over the one axis with
+    sequential state — time, because the battery couples consecutive
+    steps.  It accepts any :class:`VectorizedPolicy` and is the only path
+    that records per-step flows (``trace_flows``).
+    """
     n = int(solar_kw.size)
     s = stack.n_scenarios
     t_steps = stack.n_steps

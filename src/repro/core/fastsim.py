@@ -155,7 +155,6 @@ def evaluate_across_scenarios(
     policy: VectorizedPolicy | None = None,
     battery_params: CLCParameters | None = None,
     initial_soc: float = 0.5,
-    engine: str = "auto",
 ) -> list[list[EvaluatedComposition]]:
     """Evaluate the full N-candidates × S-scenarios tensor in one time loop.
 
@@ -164,9 +163,7 @@ def evaluate_across_scenarios(
     identical to running :class:`BatchEvaluator` per scenario — every
     (scenario, candidate) cell is an independent column of the stacked
     loop — while amortizing the Python-level time loop across all
-    scenarios (DESIGN.md §5).  ``engine`` selects the dispatch execution
-    strategy (DESIGN.md §9); every engine is bit-for-bit equal to the
-    reference loop, so this changes throughput only.
+    scenarios (DESIGN.md §5).
     """
     if not compositions:
         return [[] for _ in scenarios]
@@ -174,8 +171,8 @@ def evaluate_across_scenarios(
     solar_kw, turb_eff, capacity_wh = _candidate_vectors(compositions)
     params = battery_params or CLCParameters(capacity_wh=1.0)
     # Rainflow degradation (DESIGN.md §11) counts cycles off the SoC
-    # trace, so those scenarios force trace mode (the auto engine records
-    # it on the segments engine, bit-equal to the loop's trace).
+    # trace, so those scenarios force trace mode (recorded on the segments
+    # engine, bit-equal to the loop's trace).
     needs_trace = any(s.battery_degradation == "rainflow" for s in scenarios)
     res = run_dispatch(
         stack,
@@ -186,7 +183,6 @@ def evaluate_across_scenarios(
         initial_soc=initial_soc,
         policy=policy,
         trace_soc=needs_trace,
-        engine=engine,
     )
     return _results_from_dispatch(
         stack, compositions, solar_kw, turb_eff, capacity_wh, params, res
@@ -200,7 +196,6 @@ def evaluate_member_slice(
     policy: VectorizedPolicy | None = None,
     battery_params: CLCParameters | None = None,
     initial_soc: float = 0.5,
-    engine: str = "auto",
 ) -> list[list[EvaluatedComposition]]:
     """Evaluate a *member slice* of a scenario ensemble (DESIGN.md §8).
 
@@ -233,7 +228,6 @@ def evaluate_member_slice(
         policy=policy,
         battery_params=battery_params,
         initial_soc=initial_soc,
-        engine=engine,
     )
 
 
@@ -252,8 +246,6 @@ class BatchEvaluator:
     )
     initial_soc: float = 0.5
     policy: VectorizedPolicy | None = None
-    #: dispatch execution strategy (DESIGN.md §9); bit-for-bit across engines
-    engine: str = "auto"
 
     def evaluate(
         self, compositions: Sequence[MicrogridComposition]
@@ -267,7 +259,6 @@ class BatchEvaluator:
             policy=self.policy,
             battery_params=self.battery_params,
             initial_soc=self.initial_soc,
-            engine=self.engine,
         )[0]
 
     def evaluate_one(self, composition: MicrogridComposition) -> EvaluatedComposition:

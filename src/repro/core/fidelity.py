@@ -446,7 +446,6 @@ def calibrate_envelope(
     objectives: Sequence[str] = ("operational", "embodied"),
     margin: float = 0.5,
     policy: "VectorizedPolicy | None" = None,
-    engine: str = "auto",
     probes: "Sequence[MicrogridComposition]" = CALIBRATION_PROBES,
 ) -> FidelityEnvelope:
     """Calibrate one cheap level's envelope against full physics.
@@ -461,12 +460,10 @@ def calibrate_envelope(
         raise ConfigurationError("calibration needs at least one scenario")
     names = tuple(objectives)
     full_rows = evaluate_member_slice(
-        sibling_stack(scenarios, FULL_LEVEL), members, list(probes),
-        policy=policy, engine=engine,
+        sibling_stack(scenarios, FULL_LEVEL), members, list(probes), policy=policy
     )
     lvl_rows = evaluate_member_slice(
-        sibling_stack(scenarios, lvl), members, list(probes),
-        policy=policy, engine=engine,
+        sibling_stack(scenarios, lvl), members, list(probes), policy=policy
     )
     full_obj = np.array(
         [[e.objectives(names) for e in row] for row in full_rows], dtype=np.float64
@@ -494,7 +491,7 @@ class FidelityRacingEvaluator:
     stacks, the shared member-difficulty order (probed at the cheapest
     level), and the calibrated envelopes are all built lazily on the
     first race and charged to its stats.  Every level evaluates through
-    the in-process stacked tensor loop under ``engine``.
+    the in-process stacked tensor loop.
     """
 
     def __init__(
@@ -505,7 +502,6 @@ class FidelityRacingEvaluator:
         aggregate: str = "worst",
         objectives: Sequence[str] = ("operational", "embodied"),
         policy: "VectorizedPolicy | None" = None,
-        engine: str = "auto",
         probes: "Sequence[MicrogridComposition]" = CALIBRATION_PROBES,
     ) -> None:
         self.base = list(scenarios)
@@ -517,7 +513,6 @@ class FidelityRacingEvaluator:
         self.aggregate = aggregate
         self.objectives = tuple(objectives)
         self.policy = policy
-        self.engine = engine
         self._probes = list(probes)
         self.sizes = self.schedule.resolve(len(self.base))
         self._stacks: "dict[str, list[Scenario]] | None" = None
@@ -532,9 +527,7 @@ class FidelityRacingEvaluator:
 
     def _slice_for(self, stack: "list[Scenario]") -> SliceEvaluator:
         def _slice(member_indices, comps):
-            return evaluate_member_slice(
-                stack, member_indices, comps, policy=self.policy, engine=self.engine
-            )
+            return evaluate_member_slice(stack, member_indices, comps, policy=self.policy)
 
         return _slice
 
@@ -824,7 +817,6 @@ def fidelity_race_front(
     aggregate: str = "worst",
     objectives: Sequence[str] = ("operational", "embodied"),
     policy: "VectorizedPolicy | None" = None,
-    engine: str = "auto",
 ) -> "tuple[list[RobustEvaluatedComposition], RaceOutcome]":
     """Exact ladder-top Pareto front via fidelity-laddered racing.
 
@@ -842,7 +834,6 @@ def fidelity_race_front(
         aggregate=aggregate,
         objectives=objectives,
         policy=policy,
-        engine=engine,
     )
     outcome = evaluator.race(compositions)
     front = pareto_front(list(outcome.evaluated.values()), objectives)

@@ -1,71 +1,52 @@
-"""Compiled / segment-vectorized dispatch engines (DESIGN.md §9).
+"""The segments dispatch engine (DESIGN.md §9).
 
-The per-timestep Python loop in :func:`repro.core.dispatch.run_dispatch`
-is the framework's hot path: every study, ensemble and racing rung funnels
-through it.  This module provides two drop-in replacements that compute
-**bit-for-bit identical** accumulators:
+The per-timestep reference loop
+(:func:`repro.core.dispatch.run_dispatch_loop`) states the dispatch
+semantics, but dispatch is the framework's hot path: every study,
+ensemble and racing rung funnels through it.
+:func:`run_dispatch_segments` computes the loop's accumulators (and SoC
+trace) **bit for bit** in pure numpy.  The policy decision is *lowered*
+ahead of time to a numeric mode table (one of three request modes per
+(step, scenario) — see :func:`lower_policy`), which turns the per-step
+policy callback into array masking.  SoC couples consecutive steps;
+everything is restructured for throughput:
 
-``segments``
-    A pure-numpy reformulation, always available.  The policy decision is
-    *lowered* ahead of time to a numeric mode table (one of three request
-    modes per (step, scenario) — see :func:`lower_policy`), which turns
-    the per-step policy callback into array masking.  SoC couples
-    consecutive steps; everything is restructured for throughput:
+* the battery recurrence runs in time lanes: each window of the
+  horizon is cut into lanes that step side by side, each from a
+  guessed energy some steps before its boundary.  A lane whose
+  energy at its boundary has the bits of the previous lane's end is
+  exact from there; the cells that differ are re-run on scalars.
+  Each step's flows are then rebuilt from the checked energies;
+* time steps are processed in chunks — the net-load/request prologue
+  and the grid/cost/emissions epilogue run once per chunk over
+  ``(chunk, S, N)`` tensors instead of once per step.  The chunk is
+  sized from the call's width (4 096 steps at one cell, 8 from 512
+  cells); the per-step contributions are folded into the totals left
+  to right (at S·N = 1 as numpy's pairwise reduce of fixed 8-step
+  groups, built for a whole chunk at once);
+* the paper's candidate grid repeats each (solar, wind) pair over the
+  battery axis, so net load is computed on the ~9× smaller set of
+  unique pairs and broadcast back;
+* per-step battery state lives in one contiguous ``(rows, S·N)``
+  workspace so adjacent rows can share fused ufunc calls, its
+  constants (including 0, 1 and the decay factor) are rows too, so
+  every per-step ufunc takes array operands only, and every
+  operation writes into preallocated buffers (zero allocations in
+  the inner loop).  An hourly step costs 18 ufunc calls;
+* those 18 dispatches cost about the same at any narrow width, so a
+  call of a few cells too short for many lanes (a one-cell call of up
+  to 1 440 steps, say) runs the same operations on Python floats
+  instead, with the same bits.
 
-    * the battery recurrence runs in time lanes: each window of the
-      horizon is cut into lanes that step side by side, each from a
-      guessed energy some steps before its boundary.  A lane whose
-      energy at its boundary has the bits of the previous lane's end is
-      exact from there; the cells that differ are re-run on scalars.
-      Each step's flows are then rebuilt from the checked energies;
-    * time steps are processed in chunks — the net-load/request prologue
-      and the grid/cost/emissions epilogue run once per chunk over
-      ``(chunk, S, N)`` tensors instead of once per step.  The chunk is
-      sized from the call's width (4 096 steps at one cell, 8 from 512
-      cells); the per-step contributions are folded into the totals left
-      to right (at S·N = 1 as numpy's pairwise reduce of fixed 8-step
-      groups, built for a whole chunk at once);
-    * the paper's candidate grid repeats each (solar, wind) pair over the
-      battery axis, so net load is computed on the ~9× smaller set of
-      unique pairs and broadcast back;
-    * per-step battery state lives in one contiguous ``(rows, S·N)``
-      workspace so adjacent rows can share fused ufunc calls, its
-      constants (including 0, 1 and the decay factor) are rows too, so
-      every per-step ufunc takes array operands only, and every
-      operation writes into preallocated buffers (zero allocations in
-      the inner loop).  An hourly step costs 18 ufunc calls;
-    * those 18 dispatches cost about the same at any narrow width, so a
-      float64 call of a few cells too short for many lanes (a one-cell
-      call of up to 1 440 steps, say) runs the same operations on Python
-      floats instead, with the same bits.
+Each replaced expression is an exact floating-point identity of the
+reference loop's (same IEEE-754 operations, same order), so the
+results are bitwise equal — not merely close.  The identities are
+pinned by ``tests/test_kernel_differential.py``.
 
-    Each replaced expression is an exact floating-point identity of the
-    reference loop's (same IEEE-754 operations, same order), so the
-    results are bitwise equal — not merely close.  The identities are
-    pinned by ``tests/test_kernel_differential.py``.
-
-``njit``
-    A numba ``@njit`` scalar kernel over the same mode table, compiled
-    only when numba is importable (``HAS_NUMBA``).  Numba's default
-    ``fastmath=False`` keeps IEEE semantics (no FMA contraction or
-    reassociation), so the scalar op order mirrors the reference loop
-    exactly and the outputs are bitwise equal as well.
-
-The segments engine also records the per-step SoC trace
-(``trace_soc``) that rainflow degradation counts cycles off; njit does
-not.  The reference loop **stays** the oracle: it is the simplest
-statement of the semantics, the only engine that records per-step flows
-(``trace_flows``), and accepts arbitrary policy objects.
-:func:`resolve_engine` therefore routes SoC traces to ``"segments"``,
-flow traces and non-lowerable policies to ``"loop"`` under
-``engine="auto"``, and refuses what an explicitly requested compiled
-engine cannot record.
-
-A ``dtype=np.float32`` knob on the segments engine provides the racing
-fast path: float32 halves memory traffic for the lower fidelity rungs
-where only certified bounds matter (results are then *not* bitwise — the
-rung-bound test documents the epsilon and shows the final front is
-unchanged after float64 promotion).
+:func:`repro.core.dispatch.run_dispatch` picks the path from the call
+alone: per-step flow traces (``trace_flows``), policies outside the five
+lowerable ones and a SoC trace of a single cell run on the reference
+loop, everything else here.
 """
 
 from __future__ import annotations
@@ -91,29 +72,14 @@ from .dispatch import (
     VectorizedPolicy,
 )
 
-try:  # pragma: no cover - exercised only on numba-enabled CI legs
-    from numba import njit as _numba_njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover
-    _numba_njit = None
-    HAS_NUMBA = False
-
 __all__ = [
-    "ENGINES",
-    "HAS_NUMBA",
     "MODE_CHARGE_ONLY",
     "MODE_GREEDY",
     "MODE_UNLIMITED",
     "is_lowerable",
     "lower_policy",
-    "resolve_engine",
-    "run_compiled",
     "run_dispatch_segments",
 ]
-
-#: accepted values of the ``engine`` knob
-ENGINES = ("auto", "loop", "segments", "njit")
 
 # -- policy lowering ---------------------------------------------------------
 #
@@ -188,103 +154,6 @@ def lower_policy(
     return np.ascontiguousarray(table.T)
 
 
-# -- engine selection --------------------------------------------------------
-
-
-def resolve_engine(
-    engine: str,
-    policy: VectorizedPolicy | None = None,
-    trace_soc: bool = False,
-    trace_flows: bool = False,
-) -> str:
-    """Resolve the ``engine`` knob to a concrete engine name.
-
-    ``"auto"`` silently falls back to the reference loop whenever a
-    compiled engine cannot reproduce it bit-for-bit (per-step flow
-    traces, custom policies).  A SoC trace goes to ``"segments"``, the
-    one compiled engine that records it; otherwise ``"auto"`` prefers
-    njit > segments.  Explicitly requested compiled engines *refuse*
-    instead of falling back, so a user who asked for ``"njit"`` never
-    silently measures the loop.  (:func:`repro.core.dispatch.run_dispatch`
-    keeps one more ``"auto"`` case on the loop: a SoC trace of a single
-    cell, see the comment there.)
-    """
-    if engine not in ENGINES:
-        raise ConfigurationError(
-            f"unknown engine {engine!r}; expected one of {ENGINES}"
-        )
-    if engine == "loop":
-        return "loop"
-    lowerable = is_lowerable(policy)
-    if engine == "auto":
-        if trace_flows or not lowerable:
-            return "loop"
-        if trace_soc:
-            return "segments"
-        return "njit" if HAS_NUMBA else "segments"
-    if trace_flows:
-        raise ConfigurationError(
-            f"engine={engine!r} does not record per-step flows; "
-            "use engine='loop' (or 'auto', which falls back to it)"
-        )
-    if trace_soc and engine == "njit":
-        raise ConfigurationError(
-            "engine='njit' does not record a SoC trace; "
-            "use engine='segments' or 'auto'"
-        )
-    if not lowerable:
-        raise ConfigurationError(
-            f"policy {type(policy).__name__} cannot be lowered to a dispatch "
-            "table; use engine='loop' (or 'auto', which falls back to it)"
-        )
-    if engine == "njit" and not HAS_NUMBA:
-        raise ConfigurationError(
-            "engine='njit' requires numba, which is not installed; "
-            "use engine='segments' or 'auto'"
-        )
-    return engine
-
-
-def run_compiled(
-    stack: ScenarioStack,
-    solar_kw: np.ndarray,
-    turbine_factor: np.ndarray,
-    capacity_wh: np.ndarray,
-    params: CLCParameters,
-    initial_soc: float = 0.5,
-    policy: VectorizedPolicy | None = None,
-    engine: str = "segments",
-    dtype: "np.dtype | type" = np.float64,
-    trace_soc: bool = False,
-) -> DispatchResult:
-    """Run a *resolved* compiled engine (``"segments"`` or ``"njit"``)."""
-    if engine == "segments":
-        return run_dispatch_segments(
-            stack,
-            solar_kw,
-            turbine_factor,
-            capacity_wh,
-            params,
-            initial_soc=initial_soc,
-            policy=policy,
-            dtype=dtype,
-            trace_soc=trace_soc,
-        )
-    if trace_soc:
-        raise ConfigurationError(f"engine={engine!r} does not record a SoC trace")
-    if engine == "njit":
-        return _run_dispatch_njit(
-            stack,
-            solar_kw,
-            turbine_factor,
-            capacity_wh,
-            params,
-            initial_soc=initial_soc,
-            policy=policy,
-        )
-    raise ConfigurationError(f"run_compiled expects a compiled engine, got {engine!r}")
-
-
 # -- the segment-vectorized engine -------------------------------------------
 
 
@@ -347,7 +216,7 @@ _LANE_OVERLAP = 64
 #: 128 cells 18.9 / 21.2; full year: 100 cells 140 / 100, 128 cells
 #: 135 / 139, 160 cells 134 / 159.
 _LANE_MAX_CELLS = 100
-#: Widest float64 call (S·N cells) that may run on the scalar path, and
+#: Widest call (S·N cells) that may run on the scalar path, and
 #: the most cells (lanes × S·N) of the lane step it would take instead.
 #: Houston calls, best of 9, vector / scalar ms, untraced (traced reads
 #: the same within noise), on a shared 2-vCPU x86-64 host (CPython 3.11,
@@ -416,34 +285,29 @@ def run_dispatch_segments(
     params: CLCParameters,
     initial_soc: float = 0.5,
     policy: VectorizedPolicy | None = None,
-    dtype: "np.dtype | type" = np.float64,
     trace_soc: bool = False,
 ) -> DispatchResult:
     """Segment-vectorized dispatch: bitwise-equal to the reference loop.
 
-    Restructures :func:`repro.core.dispatch.run_dispatch` around a mode
-    table (policy decisions precomputed for all steps), keeping every
-    floating-point operation IEEE-identical to the loop.  Float64 calls
-    of at most ``_SCALAR_CELLS`` cells whose lane plan (:func:`_lane_plan`)
+    Restructures :func:`repro.core.dispatch.run_dispatch_loop` around a
+    mode table (policy decisions precomputed for all steps), keeping every
+    floating-point operation IEEE-identical to the loop.  Calls of at
+    most ``_SCALAR_CELLS`` cells whose lane plan (:func:`_lane_plan`)
     gives a lane step of at most ``_SCALAR_LANE_CELLS`` cells run
     :func:`_segments_scalar`, all others :func:`_segments_vector`, whose
     battery recurrence runs in those time lanes; both return the same
-    bits.
-    ``dtype=np.float32`` selects the non-bitwise racing fast path.
-    ``trace_soc`` records the per-step SoC as the loop does, returned as
-    an ``(S, N, T+1)`` view of one time-major buffer.
+    bits.  ``trace_soc`` records the per-step SoC as the loop does,
+    returned as an ``(S, N, T+1)`` view of one time-major buffer.  A
+    policy outside the five lowerable ones raises
+    :class:`~repro.exceptions.ConfigurationError`.
     """
     flat = stack.n_scenarios * int(solar_kw.size)
-    if (
-        np.dtype(dtype) == np.float64
-        and flat <= _SCALAR_CELLS
-        and flat * _lane_plan(stack.n_steps, flat)[0] <= _SCALAR_LANE_CELLS
-    ):
+    if flat <= _SCALAR_CELLS and flat * _lane_plan(stack.n_steps, flat)[0] <= _SCALAR_LANE_CELLS:
         return _segments_scalar(
             stack, solar_kw, turbine_factor, capacity_wh, params, initial_soc, policy, trace_soc
         )
     return _segments_vector(
-        stack, solar_kw, turbine_factor, capacity_wh, params, initial_soc, policy, dtype, trace_soc
+        stack, solar_kw, turbine_factor, capacity_wh, params, initial_soc, policy, trace_soc
     )
 
 
@@ -453,17 +317,18 @@ def _lowered(policy: VectorizedPolicy | None, stack: ScenarioStack):
     table = lower_policy(policy, stack)
     if table is None:
         raise ConfigurationError(
-            f"policy {type(policy).__name__} cannot be lowered; use engine='loop'"
+            f"policy {type(policy).__name__} cannot be lowered to a dispatch "
+            "table; run_dispatch runs it on the reference loop"
         )
     return policy, table
 
 
-def _time_major(stack: ScenarioStack, f: np.dtype) -> list[np.ndarray]:
+def _time_major(stack: ScenarioStack) -> list[np.ndarray]:
     """Solar, wind, load, CI and price as contiguous ``(T, S)`` arrays, so
     each step reads one row instead of a strided column (as the loop does)."""
     profiles = (stack.solar_per_kw_w, stack.wind_per_turbine_w, stack.load_w)
     profiles += (stack.ci_g_per_kwh, stack.prices_usd_kwh)
-    return [np.ascontiguousarray(a.T).astype(f, copy=False) for a in profiles]
+    return [np.ascontiguousarray(a.T, dtype=np.float64) for a in profiles]
 
 
 def _dispatch_result(totals: np.ndarray, soc_rows: np.ndarray | None) -> DispatchResult:
@@ -472,10 +337,8 @@ def _dispatch_result(totals: np.ndarray, soc_rows: np.ndarray | None) -> Dispatc
     if soc_rows is not None:
         # A transposed view, not a copy: a copy would double the trace's
         # peak memory.
-        soc = soc_rows.astype(np.float64, copy=False)
-        soc = soc.reshape(len(soc), *totals.shape[1:]).transpose(1, 2, 0)
-    # Exact for f64, exact widening for f32; rows in the fields' order.
-    return DispatchResult(*totals.astype(np.float64), soc=soc)
+        soc = soc_rows.reshape(len(soc_rows), *totals.shape[1:]).transpose(1, 2, 0)
+    return DispatchResult(*totals, soc=soc)  # rows in the fields' order
 
 
 def _fold_left(steps, totals=(0.0,) * 7) -> tuple[float, ...]:
@@ -590,7 +453,7 @@ def _segments_scalar(
         np.asarray(solar_kw, dtype=np.float64),
         np.asarray(turbine_factor, dtype=np.float64),
     )
-    cols = [memoryview(a.reshape(-1)) for a in (*_time_major(stack, np.float64), table)]
+    cols = [memoryview(a.reshape(-1)) for a in (*_time_major(stack), table)]
     soc_rows = np.empty((t_steps + 1, flat)) if trace_soc else None
     soc_v = memoryview(soc_rows.reshape(-1)) if trace_soc else None
 
@@ -671,7 +534,6 @@ def _segments_vector(
     params: CLCParameters,
     initial_soc: float = 0.5,
     policy: VectorizedPolicy | None = None,
-    dtype: "np.dtype | type" = np.float64,
     trace_soc: bool = False,
 ) -> DispatchResult:
     """The segments engine's vector step, over all S·N cells at once, in
@@ -679,8 +541,8 @@ def _segments_vector(
     (:func:`_segments_lanes`; one lane is the plain sequential step)."""
     lanes, overlap, window = _lane_plan(stack.n_steps, stack.n_scenarios * int(solar_kw.size))
     return _segments_lanes(
-        stack, solar_kw, turbine_factor, capacity_wh, params, initial_soc, policy, dtype,
-        trace_soc, lanes, overlap, window,
+        stack, solar_kw, turbine_factor, capacity_wh, params, initial_soc, policy, trace_soc,
+        lanes, overlap, window,
     )
 
 
@@ -740,7 +602,6 @@ def _segments_lanes(
     params: CLCParameters,
     initial_soc: float,
     policy: VectorizedPolicy | None,
-    dtype: "np.dtype | type",
     trace_soc: bool,
     lanes: int,
     overlap: int,
@@ -765,9 +626,6 @@ def _segments_lanes(
     and runs the epilogue and the ``_FOLD_STEPS`` fold.
     """
     policy, table = _lowered(policy, stack)
-    f = np.dtype(dtype)
-    if f not in (np.dtype(np.float64), np.dtype(np.float32)):
-        raise ConfigurationError(f"dtype must be float64 or float32, got {dtype!r}")
     islanded = bool(policy.islanded)
 
     s = stack.n_scenarios
@@ -777,9 +635,8 @@ def _segments_lanes(
     unit_dt = dt_h == 1.0
     flat = s * n
     if flat == 0:  # no cells, nothing to step (the constants below read cell 0)
-        return _dispatch_result(
-            np.zeros((8, s, n), dtype=f), np.empty((t_steps + 1, 0), dtype=f) if trace_soc else None
-        )
+        soc_rows = np.empty((t_steps + 1, 0)) if trace_soc else None
+        return _dispatch_result(np.zeros((8, s, n)), soc_rows)
     blk = _chunk_steps(flat)
     if lanes == 1:
         window = blk  # one lane steps chunk by chunk, as the sequential step does
@@ -798,8 +655,6 @@ def _segments_lanes(
     )
     grouped = group > 1
     u = n // group
-    kw_u = kw_u.astype(f, copy=False)
-    tb_u = tb_u.astype(f, copy=False)
 
     # Battery workspace: one (lanes, S·N) row per per-cell state/constant,
     # so adjacent rows can share fused ufunc calls below.  Scalars enter
@@ -809,10 +664,10 @@ def _segments_lanes(
     #   5 taper, then p_lim | 6 discharge limit | 7 eta_d | 8 cap·c_rate
     #   9 safe_cap | 10 span | 11 eta_c | 12 decay | 13 soc_max
     #   14, 15 zero | 16 one | 17, 18 dt_h | 19 charge | 20 discharge
-    work = np.empty((21, lanes, flat), dtype=f)
+    work = np.empty((21, lanes, flat))
 
     def _cells(values: "np.ndarray | float") -> np.ndarray:
-        return np.broadcast_to(np.asarray(values, dtype=f), (s, n)).reshape(-1)
+        return np.broadcast_to(np.asarray(values, dtype=np.float64), (s, n)).reshape(-1)
 
     for row, values in (
         (0, cap * params.soc_max),
@@ -832,24 +687,21 @@ def _segments_lanes(
         (18, dt_h),
     ):
         np.copyto(work[row], _cells(values))
-    # Lane 0's per-cell rows and the call's scalars in dtype f, for the
+    # Lane 0's per-cell rows and the call's scalars, for the
     # time-vectorized pass.
     emax0, emin0, dlim0, pcap0, safe0 = work[(0, 2, 6, 8, 9), 0]
     etad_s, span_s, etac_s, decay_s, socmax_s, dt_s = work[(7, 10, 11, 12, 13, 17), 0, 0]
-    zero_s, one_s = f.type(0.0), f.type(1.0)
-    # Re-runs read Python floats (through a memoryview) in float64, and
-    # numpy float32 scalars, so float32 arithmetic, otherwise.
-    scalars = memoryview if f == np.float64 else np.asarray
-    rerun_consts = [scalars(r) for r in work[(0, 2, 6, 7, 8, 9, 10, 11, 12, 13), 0]]
-    rerun_dt = scalars(work[17, 0])[0]
-    kw_s, tb_s = scalars(kw_u), scalars(tb_u)
-    bits = np.dtype(f"u{f.itemsize}")
+    zero_s, one_s = np.float64(0.0), np.float64(1.0)
+    # Re-runs read Python floats through zero-copy memoryviews.
+    rerun_consts = [memoryview(r) for r in work[(0, 2, 6, 7, 8, 9, 10, 11, 12, 13), 0]]
+    rerun_dt = float(work[17, 0, 0])
+    kw_s, tb_s = memoryview(kw_u), memoryview(tb_u)
 
     eps_wh = ISLANDED_EPS_W * dt_h
 
-    profiles = _time_major(stack, f)
+    profiles = _time_major(stack)
     sol_t, wind_t, load_t, ci_t, price_t = profiles
-    credit = stack.export_credit_usd_kwh.astype(f, copy=False)
+    credit = stack.export_credit_usd_kwh
 
     has_modes = bool(table.any())
     charge_only = table == MODE_CHARGE_ONLY if has_modes else None
@@ -897,8 +749,8 @@ def _segments_lanes(
     # (outer) step axis left to right, as the loop's += does.  At S·N = 1
     # it sums pairwise, in 8-step groups (_fold_pairwise).
     n_acc = 8
-    totals = np.zeros((n_acc, s, n), dtype=f)
-    contrib = np.empty((n_acc, blk + 1, s, n), dtype=f)
+    totals = np.zeros((n_acc, s, n))
+    contrib = np.empty((n_acc, blk + 1, s, n))
     contrib[0 if islanded else 4] = 0.0  # inactive import/unserved row
     if islanded:
         contrib[5] = 0.0  # no grid import → no operational emissions
@@ -910,8 +762,8 @@ def _segments_lanes(
     # the chunk.
     pool_steps = max(lane_blk * lanes, blk)
     pair_size = (4 * (blk // _FOLD_STEPS) + 8) * n_acc if flat == 1 else 0
-    pool = np.empty(max(3 * pool_steps * flat, pair_size), dtype=f)
-    uniq_pool = np.empty(3 * pool_steps * s * u, dtype=f) if grouped else None
+    pool = np.empty(max(3 * pool_steps * flat, pair_size))
+    uniq_pool = np.empty(3 * pool_steps * s * u) if grouped else None
     pair_rows = pool[:pair_size].reshape(-1, n_acc) if flat == 1 else None
     lane_bufs = buffers((lane_blk, lanes))
     lane_rp, lane_rn = (a.reshape(lane_blk, lanes, flat) for a in lane_bufs[1:3])
@@ -924,21 +776,21 @@ def _segments_lanes(
     steps_c = contrib.reshape(n_acc, blk + 1, flat)[:, 1:]
     # The window's trajectory: the energy before each step, row 0 the
     # window's checked start.
-    traj = np.empty((window + 1, flat), dtype=f)
+    traj = np.empty((window + 1, flat))
     np.copyto(traj[0], _cells(cap * soc0))
     # One lane is exact from its start, so a one-lane call's steps write
     # their charge and discharge into the contrib rows, not rebuilt.
     kept = contrib[2:4, 1:].reshape(2, blk, 1, flat) if lanes == 1 else None
 
     as_strided = np.lib.stride_tricks.as_strided
-    item = f.itemsize
+    item = traj.itemsize
     row_b = flat * item
 
     # SoC trace, time-major so each step has one contiguous row: the
     # loop's energy_wh / safe_cap, same operands and the same one divide.
     soc_rows = None
     if trace_soc:
-        soc_rows = np.empty((t_steps + 1, flat), dtype=f)
+        soc_rows = np.empty((t_steps + 1, flat))
         div(traj[0], safe0, soc_rows[0])
 
     geometries = {}
@@ -1087,7 +939,7 @@ def _segments_lanes(
         # that end, so its cell is checked again at the next boundary.
         if k > 1:
             ends = traj[lane + w :: lane][: k - 1]
-            misses = np.nonzero(ends.view(bits) != bound[1:].view(bits))
+            misses = np.nonzero(ends.view(np.uint64) != bound[1:].view(np.uint64))
             todo = [set() for _ in range(k)]
             for j, c in zip(*(idx.tolist() for idx in misses)):
                 todo[j + 1].add(c)
@@ -1101,10 +953,10 @@ def _segments_lanes(
                         continue
                     si, ni = divmod(c, n)
                     t0, t1 = w0 + p0, w0 + p1
-                    energies = scalars(traj[p0 : p1 + 1, c])
+                    energies = memoryview(traj[p0 : p1 + 1, c])
                     fixed = _rerun(
                         energies[0],
-                        *(scalars(a[t0:t1, si]) for a in profiles[:3]),
+                        *(memoryview(a[t0:t1, si]) for a in profiles[:3]),
                         memoryview(table[t0:t1, si]),
                         energies[1:],
                         kw_s[ni // group],
@@ -1173,166 +1025,3 @@ def _segments_lanes(
         np.copyto(traj[0], traj[tw])
 
     return _dispatch_result(totals, soc_rows)
-
-
-# -- the numba kernel --------------------------------------------------------
-
-
-def _njit_cell_loop(
-    sol_t,
-    wind_t,
-    load_t,
-    ci_t,
-    price_t,
-    credit,
-    solar_kw,
-    turbine_factor,
-    cap,
-    energy0,
-    table,
-    dt_h,
-    eta_c,
-    eta_d,
-    c_rate,
-    d_rate,
-    taper_thr,
-    soc_max,
-    decay,
-    islanded,
-    out,
-):
-    """Scalar dispatch over all (scenario, candidate) cells.
-
-    Mirrors the reference loop's floating-point op order exactly; with
-    numba's default ``fastmath=False`` (strict IEEE, no contraction) the
-    accumulators come out bitwise equal.  Kept as a plain function so the
-    pure-python fallback stays importable (and testable) without numba.
-    """
-    t_steps, s = sol_t.shape
-    n = solar_kw.shape[0]
-    span = max(soc_max - taper_thr, 1e-9)
-    eps_wh = ISLANDED_EPS_W * dt_h
-    for si in range(s):
-        cr = credit[si]
-        for ni in range(n):
-            c = cap[ni]
-            safe = max(c, 1e-12)
-            e_min = energy0[n + ni]
-            e_max = c * soc_max
-            p_cap = c * c_rate
-            d_cap = c * d_rate
-            e = energy0[ni]
-            imp_a = 0.0
-            exp_a = 0.0
-            chg_a = 0.0
-            dis_a = 0.0
-            uns_a = 0.0
-            em_a = 0.0
-            cost_a = 0.0
-            isl_a = 0.0
-            for t in range(t_steps):
-                net = (
-                    sol_t[t, si] * solar_kw[ni]
-                    + wind_t[t, si] * turbine_factor[ni]
-                    - load_t[t, si]
-                )
-                mode = table[t, si]
-                if mode == MODE_UNLIMITED:
-                    rp = np.inf
-                    rn = 0.0
-                else:
-                    rp = max(net, 0.0)
-                    rn = 0.0 if mode == MODE_CHARGE_ONLY else rp - net
-                e = e * decay
-                taper = (soc_max - e / safe) / span
-                if taper < 0.0:
-                    taper = 0.0
-                elif taper > 1.0:
-                    taper = 1.0
-                p_lim = p_cap * taper
-                head = (e_max - e) / dt_h / eta_c
-                avail = max(e - e_min, 0.0) / dt_h * eta_d
-                p_charge = min(rp, min(p_lim, head))
-                p_discharge = min(rn, min(d_cap, avail))
-                acc = p_charge - p_discharge
-                e = e + eta_c * p_charge * dt_h - p_discharge * dt_h / eta_d
-                if e < 0.0:
-                    e = 0.0
-                elif e > e_max:
-                    e = e_max
-                res = net - acc
-                exp_w = max(res, 0.0)
-                def_w = exp_w - res
-                exp_t = exp_w * dt_h
-                def_t = def_w * dt_h
-                exp_a += exp_t
-                chg_a += p_charge * dt_h
-                dis_a += p_discharge * dt_h
-                exp_kwh = exp_t / WH_PER_KWH
-                if islanded:
-                    uns_a += def_t
-                    cost_a += 0.0 - exp_kwh * cr
-                else:
-                    imp_a += def_t
-                    imp_kwh = def_t / WH_PER_KWH
-                    em_a += imp_kwh * ci_t[t, si] / 1000.0
-                    cost_a += imp_kwh * price_t[t, si] - exp_kwh * cr
-                if def_t <= eps_wh:
-                    isl_a += 1.0
-            out[0, si, ni] = imp_a
-            out[1, si, ni] = exp_a
-            out[2, si, ni] = chg_a
-            out[3, si, ni] = dis_a
-            out[4, si, ni] = uns_a
-            out[5, si, ni] = em_a
-            out[6, si, ni] = cost_a
-            out[7, si, ni] = isl_a
-    return out
-
-
-if HAS_NUMBA:  # pragma: no cover - compiled leg runs on numba-enabled CI
-    _njit_cell_loop_compiled = _numba_njit(cache=True)(_njit_cell_loop)
-else:
-    _njit_cell_loop_compiled = None
-
-
-def _run_dispatch_njit(
-    stack: ScenarioStack,
-    solar_kw: np.ndarray,
-    turbine_factor: np.ndarray,
-    capacity_wh: np.ndarray,
-    params: CLCParameters,
-    initial_soc: float = 0.5,
-    policy: VectorizedPolicy | None = None,
-) -> DispatchResult:
-    """njit engine front-end: lower the policy, call the compiled kernel."""
-    if not HAS_NUMBA:
-        raise ConfigurationError("engine='njit' requires numba, which is not installed")
-    policy, table = _lowered(policy, stack)
-    s, n = stack.n_scenarios, int(solar_kw.size)
-    cap = np.ascontiguousarray(capacity_wh, dtype=np.float64)
-    soc0 = float(np.clip(initial_soc, params.soc_min, params.soc_max))
-    # energy0 packs [initial energy | e_min] per candidate in one vector.
-    energy0 = np.concatenate([cap * soc0, cap * params.soc_min])
-    dt_h = stack.step_s / SECONDS_PER_HOUR
-    out = np.empty((8, s, n), dtype=np.float64)
-    _njit_cell_loop_compiled(
-        *_time_major(stack, np.float64),
-        np.ascontiguousarray(stack.export_credit_usd_kwh[:, 0]),
-        np.ascontiguousarray(solar_kw, dtype=np.float64),
-        np.ascontiguousarray(turbine_factor, dtype=np.float64),
-        cap,
-        energy0,
-        table,
-        dt_h,
-        params.eta_charge,
-        params.eta_discharge,
-        params.max_charge_c_rate,
-        params.max_discharge_c_rate,
-        params.taper_soc_threshold,
-        params.soc_max,
-        1.0 - params.self_discharge_per_hour * dt_h,
-        bool(policy.islanded),
-        out,
-    )
-    return _dispatch_result(out, None)

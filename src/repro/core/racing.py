@@ -442,7 +442,7 @@ class RacingEvaluator:
     One instance per (ensemble, schedule, aggregate, objectives); call
     :meth:`race` per candidate batch (e.g. one NSGA-II generation).
     ``evaluate_slice`` defaults to the in-process stacked tensor loop
-    under ``engine`` (DESIGN.md §8); tests substitute a fake one.
+    (DESIGN.md §8); tests substitute a fake one.
     """
 
     def __init__(
@@ -453,7 +453,6 @@ class RacingEvaluator:
         objectives: Sequence[str] = ("operational", "embodied"),
         policy: VectorizedPolicy | None = None,
         evaluate_slice: "SliceEvaluator | None" = None,
-        engine: str = "auto",
         member_order: "Sequence[int] | None" = None,
     ) -> None:
         self.scenarios = list(scenarios)
@@ -464,9 +463,6 @@ class RacingEvaluator:
         self.aggregate = aggregate
         self.objectives = tuple(objectives)
         self.policy = policy
-        #: dispatch engine for the default in-process slice evaluator
-        #: (DESIGN.md §9; a substituted evaluator carries its own)
-        self.engine = engine
         self._evaluate_slice = evaluate_slice or self._default_slice
         self.sizes = self.schedule.resolve(len(self.scenarios))
         #: explicit member ranking (hardest-first) replacing the probe —
@@ -481,9 +477,7 @@ class RacingEvaluator:
     def _default_slice(
         self, member_indices: Sequence[int], comps: "list[MicrogridComposition]"
     ) -> "list[list[EvaluatedComposition]]":
-        return evaluate_member_slice(
-            self.scenarios, member_indices, comps, policy=self.policy, engine=self.engine
-        )
+        return evaluate_member_slice(self.scenarios, member_indices, comps, policy=self.policy)
 
     @property
     def subsets(self) -> "list[tuple[int, ...]]":
@@ -730,7 +724,6 @@ def race_front(
     objectives: Sequence[str] = ("operational", "embodied"),
     policy: VectorizedPolicy | None = None,
     evaluate_slice: "SliceEvaluator | None" = None,
-    engine: str = "auto",
     fidelity: "Any | None" = None,
 ) -> "tuple[list[RobustEvaluatedComposition], RaceOutcome]":
     """Exact Pareto front of a candidate set via successive halving.
@@ -759,7 +752,6 @@ def race_front(
             aggregate=aggregate,
             objectives=objectives,
             policy=policy,
-            engine=engine,
         )
     evaluator = RacingEvaluator(
         scenarios,
@@ -768,7 +760,6 @@ def race_front(
         objectives=objectives,
         policy=policy,
         evaluate_slice=evaluate_slice,
-        engine=engine,
     )
     outcome = evaluator.race(compositions)
     front = pareto_front(list(outcome.evaluated.values()), objectives)

@@ -126,8 +126,6 @@ class CompositionObjective:
     cosim: bool = False
     policy: VectorizedPolicy | None = None
     aggregate: str = "worst"
-    #: dispatch engine for the fast path (DESIGN.md §9); bit-for-bit across engines
-    engine: str = "auto"
 
     def __call__(self, params: dict[str, Any]) -> tuple[float, ...]:
         comp = self.space.from_params(params)
@@ -149,9 +147,7 @@ class CompositionObjective:
                 for i, sc in enumerate(scenarios)
             ]
         else:
-            per_scenario = evaluate_across_scenarios(
-                scenarios, [comp], policy=self.policy, engine=self.engine
-            )
+            per_scenario = evaluate_across_scenarios(scenarios, [comp], policy=self.policy)
         if len(scenarios) == 1:
             evaluated: "AnyEvaluated" = per_scenario[0][0]
         else:
@@ -180,7 +176,6 @@ class CompositionObjective:
             _as_scenarios(self.scenario),
             [PROBE_COMPOSITION],
             policy=self.policy,
-            engine=self.engine,
         )
         return [row[0].objectives(self.objectives)[0] for row in per_member]
 
@@ -204,7 +199,6 @@ class CompositionObjective:
             member_indices,
             [comp],
             policy=self.policy,
-            engine=self.engine,
         )
         return tuple(row[0].objectives(self.objectives) for row in per_scenario)
 
@@ -231,8 +225,6 @@ class OptimizationRunner:
     objectives: tuple[str, ...] = ("operational", "embodied")
     policy: VectorizedPolicy | None = None
     aggregate: str = "worst"
-    #: dispatch engine for every batch/rung evaluation (DESIGN.md §9)
-    engine: str = "auto"
     #: model-fidelity ladder (DESIGN.md §11): when set, the runner's
     #: scenario stack is lifted to the ladder-top (``full``) physics
     #: siblings for every evaluation path, and raced generations screen
@@ -242,9 +234,6 @@ class OptimizationRunner:
 
     def __post_init__(self) -> None:
         parse_aggregate(self.aggregate)  # fail fast, before any evaluation
-        from .kernel import resolve_engine
-
-        resolve_engine(self.engine, self.policy)  # fail fast on bad engine/policy
         self.scenarios: tuple[Scenario, ...] = _as_scenarios(self.scenario)
         self._base_scenarios: tuple[Scenario, ...] = self.scenarios
         self._fidelity: "FidelityLadder | None" = None
@@ -264,9 +253,7 @@ class OptimizationRunner:
         """Evaluate compositions, reusing cached results."""
         missing = [c for c in dict.fromkeys(comps) if c not in self._cache]
         if missing:
-            per_scenario = evaluate_across_scenarios(
-                self.scenarios, missing, policy=self.policy, engine=self.engine
-            )
+            per_scenario = evaluate_across_scenarios(self.scenarios, missing, policy=self.policy)
             results = (
                 per_scenario[0]
                 if len(self.scenarios) == 1
@@ -432,7 +419,6 @@ class OptimizationRunner:
                     aggregate=self.aggregate,
                     objectives=self.objectives,
                     policy=self.policy,
-                    engine=self.engine,
                 )
             else:
                 racer = RacingEvaluator(
@@ -441,7 +427,6 @@ class OptimizationRunner:
                     aggregate=self.aggregate,
                     objectives=self.objectives,
                     policy=self.policy,
-                    engine=self.engine,
                 )
             racing_stats = RacingStats()
         seen: "list[AnyEvaluated]" = []
@@ -621,7 +606,6 @@ class OptimizationRunner:
             objectives=self.objectives,
             policy=self.policy,
             aggregate=self.aggregate,
-            engine=self.engine,
         )
         dispatcher = PipelinedDispatcher(
             study,
@@ -687,7 +671,6 @@ def run_blackbox_search(
     policy: VectorizedPolicy | None = None,
     aggregate: str = "worst",
     racing: "RungSchedule | str | None" = None,
-    engine: str = "auto",
     fidelity: "FidelityLadder | str | None" = None,
 ) -> SearchResult:
     """Convenience: the paper's NSGA-II configuration.
@@ -707,7 +690,6 @@ def run_blackbox_search(
         space=space or PAPER_SPACE,
         policy=policy,
         aggregate=aggregate,
-        engine=engine,
         fidelity=fidelity,
     )
     return runner.run_blackbox(
@@ -720,54 +702,3 @@ def run_blackbox_search(
         racing=racing,
     )
 
-
-def run_pipelined_search(
-    scenario: "Scenario | Sequence[Scenario]",
-    n_trials: int = 350,
-    population_size: int = 50,
-    seed: int | None = None,
-    space: ParameterSpace | None = None,
-    storage: "StudyStorage | str | None" = None,
-    study_name: str | None = None,
-    load_if_exists: bool = False,
-    workers: int = 1,
-    executor: str = "thread",
-    speculate: int = 0,
-    metadata: dict[str, Any] | None = None,
-    policy: VectorizedPolicy | None = None,
-    aggregate: str = "worst",
-    racing: "RungSchedule | str | None" = None,
-    engine: str = "auto",
-    fidelity: "FidelityLadder | str | None" = None,
-) -> SearchResult:
-    """Convenience: the paper's NSGA-II search, pipelined (DESIGN.md §10).
-
-    Identical search semantics to :func:`run_blackbox_search` — same
-    sampler, storage/resume contract, racing integration, and fidelity
-    identity — but trials stream through ``workers`` slots with no
-    generation barrier, and ``speculate=D`` breeds the first ``D``
-    candidates of each generation one generation early to keep slots
-    full.  ``speculate=0`` reproduces the generation-batched front
-    bit-for-bit.  The CLI's ``repro study run --pipeline`` calls
-    straight through here.
-    """
-    runner = OptimizationRunner(
-        scenario,
-        space=space or PAPER_SPACE,
-        policy=policy,
-        aggregate=aggregate,
-        engine=engine,
-        fidelity=fidelity,
-    )
-    return runner.run_pipelined(
-        n_trials=n_trials,
-        sampler=NSGA2Sampler(population_size=population_size, seed=seed),
-        storage=storage,
-        study_name=study_name,
-        load_if_exists=load_if_exists,
-        metadata=metadata,
-        racing=racing,
-        workers=workers,
-        executor=executor,
-        speculate=speculate,
-    )

@@ -44,7 +44,6 @@ from ..exceptions import OptimizationError
 from ..units import PERLMUTTER_MEAN_POWER_W
 from .dispatch import POLICY_NAMES
 from .fidelity import FidelityLadder
-from .kernel import ENGINES
 from .metrics import parse_aggregate
 from .racing import RungSchedule
 
@@ -181,13 +180,12 @@ class StudySpec:
     racing: "str | None" = None
     fidelity: "str | None" = None
     pipeline: "str | None" = None
-    engine: str = "auto"
     shards: "int | None" = None
-    #: transport knobs (non-identity, like ``engine``): how many remote
-    #: worker slots the coordinator keeps in flight, and the lease TTL
-    #: its work items carry.  Neither changes which candidates are bred
-    #: — the epoch schedule is a pure function of the trial number — so
-    #: both may differ freely between a run and its resume.
+    #: transport knobs (non-identity): how many remote worker slots the
+    #: coordinator keeps in flight, and the lease TTL its work items
+    #: carry.  Neither changes which candidates are bred — the epoch
+    #: schedule is a pure function of the trial number — so both may
+    #: differ freely between a run and its resume.
     remote_slots: "int | None" = None
     lease_ttl: "float | None" = None
 
@@ -213,10 +211,6 @@ class StudySpec:
         if self.policy not in POLICY_NAMES:
             raise OptimizationError(
                 f"unknown policy {self.policy!r}; expected one of {POLICY_NAMES}"
-            )
-        if self.engine not in ENGINES:
-            raise OptimizationError(
-                f"unknown engine {self.engine!r}; expected one of {ENGINES}"
             )
         parse_aggregate(self.aggregate)  # fail fast on a bad grammar
         if self.racing is not None:
@@ -290,14 +284,10 @@ class StudySpec:
             value = getattr(self, key)
             if value is not None:
                 metadata[key] = value
-        if self.engine != "auto":
-            # Informational only: every engine is bit-for-bit identical,
-            # so resume is free to pick a different one (unlike racing).
-            metadata["engine"] = self.engine
         if self.remote_slots is not None or self.lease_ttl is not None:
-            # Transport envelope — informational like ``engine``: slots
-            # and TTLs shape scheduling, never the bred candidates, so
-            # they are excluded from every resume-identity check.
+            # Transport envelope — informational only: slots and TTLs
+            # shape scheduling, never the bred candidates, so they are
+            # excluded from every resume-identity check.
             transport: dict[str, Any] = {}
             if self.remote_slots is not None:
                 transport["slots"] = self.remote_slots
@@ -320,7 +310,9 @@ class StudySpec:
         a guessed value silently produces a different front.  ``source``
         names the store in the error; ``trials_override`` waives the
         ``n_trials`` requirement (and takes its place), matching the
-        CLI's ``study resume --trials``.
+        CLI's ``study resume --trials``.  Keys it does not read are
+        ignored, so a store that carries the ``engine`` key older versions
+        persisted resumes as if it had none (that key was never identity).
         """
         required = [
             k
@@ -351,7 +343,6 @@ class StudySpec:
             racing=metadata.get("racing"),
             fidelity=metadata.get("fidelity"),
             pipeline=metadata.get("pipeline"),
-            engine=str(metadata.get("engine") or "auto"),
             shards=metadata.get("shards"),
             remote_slots=(metadata.get("transport") or {}).get("slots"),
             lease_ttl=(metadata.get("transport") or {}).get("lease_ttl_s"),
@@ -441,7 +432,6 @@ class StudySpec:
             scenarios,
             policy=make_policy(self.policy, scenarios),
             aggregate=self.aggregate,
-            engine=self.engine,
             fidelity=self.fidelity,
         )
 
@@ -464,7 +454,6 @@ class StudySpec:
             objectives=runner.objectives,
             policy=runner.policy,
             aggregate=runner.aggregate,
-            engine=runner.engine,
         )
 
     def execute(

@@ -1,8 +1,8 @@
 """Stdlib-only HTTP front end for :class:`~repro.service.StudyService`.
 
 A deliberately small JSON API over ``http.server`` — no web framework,
-matching the repo's no-new-hard-deps precedent (numba is optional, the
-service is plain stdlib).  ``ThreadingHTTPServer`` gives one (daemon)
+matching the repo's no-new-hard-deps precedent (the runtime needs only
+numpy, the service plain stdlib).  ``ThreadingHTTPServer`` gives one (daemon)
 thread per kept-alive HTTP/1.1 *connection*, so per remote worker
 (DESIGN.md §13); whole-study work happens in the service's worker
 threads and remote evaluation in external worker processes, so handlers

@@ -164,7 +164,7 @@ def study_status_document(
     doc["sites"] = [str(s) for s in sites]
     for key in (
         "policy", "aggregate", "seed", "population",
-        "ensemble", "racing", "fidelity", "pipeline", "engine", "transport",
+        "ensemble", "racing", "fidelity", "pipeline", "transport",
     ):
         doc[key] = md.get(key)
     service = md.get(SERVICE_KEY)

@@ -9,11 +9,13 @@ multi-scenario study wiring (runner, picklable objective, CLI flags).
 
 from __future__ import annotations
 
+import copy
 import pickle
 
 import numpy as np
 import pytest
 
+from repro.core import kernel
 from repro.core.composition import MicrogridComposition
 from repro.core.dispatch import (
     ISLANDED_EPS_W,
@@ -25,9 +27,9 @@ from repro.core.dispatch import (
     TouArbitrageDispatch,
     make_policy,
     run_dispatch,
+    run_dispatch_loop,
     stack_scenarios,
 )
-from repro.core.kernel import HAS_NUMBA
 from repro.core.fastsim import BatchEvaluator, coverage_grid, evaluate_across_scenarios
 from repro.core.metrics import (
     COMPARABLE_METRIC_FIELDS as METRIC_FIELDS,
@@ -101,17 +103,13 @@ def _row_policy(policy, s):
     return policy
 
 
-ENGINE_MATRIX = [
-    "loop",
-    "segments",
-    pytest.param(
-        "njit",
-        marks=pytest.mark.skipif(
-            not HAS_NUMBA,
-            reason="numba not installed — the njit engine leg runs on the CI numba job",
-        ),
-    ),
-]
+def _unlowerable(policy):
+    """The same policy as an instance of a subclass, which is not
+    lowerable (``kernel.is_lowerable`` checks the exact type), so
+    ``run_dispatch`` runs it on the reference loop."""
+    twin = copy.copy(policy)
+    object.__setattr__(twin, "__class__", type("Sub", (type(policy),), {}))  # frozen
+    return twin
 
 RESULT_FIELDS = (
     "import_wh",
@@ -126,17 +124,22 @@ RESULT_FIELDS = (
 
 
 class TestEngineMatrix:
-    """Every engine must be a pure throughput knob (DESIGN.md §9)."""
+    """Whichever path ``run_dispatch`` picks, the metrics are the
+    reference loop's (DESIGN.md §9)."""
 
-    @pytest.mark.parametrize("engine", ENGINE_MATRIX)
+    @pytest.mark.parametrize("engine", ["loop", "segments"])
     @pytest.mark.parametrize("policy_name", POLICY_NAMES)
     def test_engines_bitwise_equal_per_policy(
-        self, engine, policy_name, houston_month, berkeley_month
+        self, engine, policy_name, houston_month, berkeley_month, request
     ):
+        """``segments``: the policy as made; ``loop``: its unlowerable
+        twin, which ``run_dispatch`` falls back to the loop for."""
         scenarios = [houston_month, berkeley_month]
         policy = make_policy(policy_name, scenarios)
-        ref = evaluate_across_scenarios(scenarios, COMPS, policy=policy, engine="loop")
-        got = evaluate_across_scenarios(scenarios, COMPS, policy=policy, engine=engine)
+        routed = _unlowerable(policy) if engine == "loop" else policy
+        got = evaluate_across_scenarios(scenarios, COMPS, policy=routed)
+        request.getfixturevalue("loop_dispatch")
+        ref = evaluate_across_scenarios(scenarios, COMPS, policy=policy)
         for row_ref, row_got in zip(ref, got):
             for e_ref, e_got in zip(row_ref, row_got):
                 for name in METRIC_FIELDS:
@@ -144,11 +147,40 @@ class TestEngineMatrix:
                         e_ref.metrics, name
                     ), (engine, policy_name, e_ref.composition, name)
 
-    def test_auto_engine_never_silently_changes_results(self, houston_month):
-        """Tier-1 guard: the default ``engine="auto"`` is bit-for-bit the
+    @pytest.mark.parametrize("policy_name", POLICY_NAMES)
+    def test_routing_follows_the_policy_type(self, policy_name, houston_month, monkeypatch):
+        """Each registered policy is lowerable, so ``run_dispatch`` runs
+        it on the segments engine; its unlowerable twin runs on the loop
+        and gives the same bits."""
+        calls = []
+        real = kernel.run_dispatch_segments
+
+        def spy(*args, **kwargs):
+            calls.append(policy_name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(kernel, "run_dispatch_segments", spy)
+        stack = stack_scenarios([houston_month])
+        policy = make_policy(policy_name, [houston_month])
+        solar_kw = np.array([c.solar_kw for c in COMPS])
+        turb = np.array([float(c.n_turbines) for c in COMPS])
+        cap = np.array([c.battery_wh for c in COMPS])
+        params = CLCParameters(capacity_wh=1.0)
+        got = run_dispatch(stack, solar_kw, turb, cap, params, policy=policy)
+        assert calls == [policy_name]
+        twin = run_dispatch(stack, solar_kw, turb, cap, params, policy=_unlowerable(policy))
+        assert calls == [policy_name]
+        for name in RESULT_FIELDS:
+            np.testing.assert_array_equal(
+                getattr(got, name), getattr(twin, name), err_msg=(policy_name, name)
+            )
+
+    def test_auto_engine_never_silently_changes_results(self, houston_month, request):
+        """Tier-1 guard: the default dispatch path is bit-for-bit the
         reference loop through the public evaluation API."""
         auto = evaluate_across_scenarios([houston_month], COMPS)
-        loop = evaluate_across_scenarios([houston_month], COMPS, engine="loop")
+        request.getfixturevalue("loop_dispatch")
+        loop = evaluate_across_scenarios([houston_month], COMPS)
         for e_auto, e_loop in zip(auto[0], loop[0]):
             for name in METRIC_FIELDS:
                 assert getattr(e_auto.metrics, name) == getattr(e_loop.metrics, name)
@@ -237,9 +269,7 @@ class TestProfileSliceHoist:
         turb = np.array([float(c.n_turbines) for c in COMPS])
         cap = np.array([c.battery_wh for c in COMPS])
         params = CLCParameters(capacity_wh=1.0)
-        res = run_dispatch(
-            stack, solar_kw, turb, cap, params, policy=policy, engine="loop"
-        )
+        res = run_dispatch_loop(stack, solar_kw, turb, cap, params, policy=policy)
         legacy = _legacy_run_dispatch(stack, solar_kw, turb, cap, params, policy)
         for name in RESULT_FIELDS:
             np.testing.assert_array_equal(

@@ -1,7 +1,7 @@
-"""Differential oracle for the compiled dispatch engines (DESIGN.md §9).
+"""Differential oracle for the segments dispatch engine (DESIGN.md §9).
 
-Every engine in :mod:`repro.core.kernel` must agree with the reference
-per-step loop **bit-for-bit** on all eight accumulators of every
+:func:`repro.core.kernel.run_dispatch_segments` must agree with the
+reference per-step loop **bit-for-bit** on all eight accumulators of every
 (scenario, candidate) cell — not approximately, exactly.  This file is
 the property-fuzz harness that enforces it:
 
@@ -11,11 +11,10 @@ the property-fuzz harness that enforces it:
   ungrouped layouts, zero-capacity and saturating batteries), random
   policies of all five kinds with scalar and per-scenario ``(S, 1)``
   thresholds, and sub-hourly step sizes;
-* three independent implementations checked against the loop: the
-  segment-vectorized engine, the njit cell kernel (its pure-python body
-  locally, the compiled version on the numba CI leg), and a scalar
-  oracle built from the co-simulation twins (:class:`CLCBattery` + the
-  ``cosim_twin`` policies) that shares no code with the batch loop;
+* two independent implementations checked against the loop: the
+  segment-vectorized engine, and a scalar oracle built from the
+  co-simulation twins (:class:`CLCBattery` + the ``cosim_twin``
+  policies) that shares no code with the batch loop;
 * edge regimes called out in the kernel design: zero-capacity
   batteries, saturating charge limits, single-step horizons, and
   all-idle discharge windows;
@@ -26,15 +25,15 @@ the property-fuzz harness that enforces it:
   them) against the scalar path, bit for bit, and the chunk-wide S·N = 1
   fold (``kernel._fold_pairwise``) against numpy's per-group reduce;
 * the segments engine's narrow path (the scalar body that narrow
-  float64 calls take, see ``kernel._SCALAR_CELLS``) against its vector
+  calls take, see ``kernel._SCALAR_CELLS``) against its vector
   path, bit for bit at every narrow width, and against the loop at
   S·N ≥ 2;
 * SoC trace mode: the segments engine's trace and accumulators against
   the loop's, on random draws and end to end through rainflow fade on a
-  real ensemble, plus the ``auto`` routing that keeps a single traced
-  cell on the loop;
-* the float32 racing fast path, which is *not* bitwise — its epsilon is
-  pinned here instead (see DESIGN.md §9 and the racing rung tests).
+  real ensemble;
+* ``run_dispatch``'s routing: flow traces, unlowerable policies and a
+  single traced cell run on the loop, everything else on the segments
+  engine.
 """
 
 from __future__ import annotations
@@ -57,6 +56,7 @@ from repro.core.dispatch import (
     TouArbitrageDispatch,
     VectorizedPolicy,
     run_dispatch,
+    run_dispatch_loop,
     stack_scenarios,
 )
 from repro.core.ensemble import EnsembleSpec, build_ensemble
@@ -180,42 +180,6 @@ def random_policies(rng: np.random.Generator, s: int) -> list[VectorizedPolicy]:
 # -- the independent implementations ----------------------------------------
 
 
-def njit_fallback(stack, solar_kw, turbine_factor, capacity_wh, params, policy, initial_soc=0.5):
-    """Run the njit cell kernel's pure-python body (no numba needed)."""
-    table = kernel.lower_policy(policy, stack)
-    assert table is not None, f"{type(policy).__name__} failed to lower"
-    s, n = stack.n_scenarios, int(np.asarray(solar_kw).size)
-    cap = np.asarray(capacity_wh, dtype=np.float64)
-    soc0 = float(np.clip(initial_soc, params.soc_min, params.soc_max))
-    energy0 = np.concatenate([cap * soc0, cap * params.soc_min])
-    dt_h = stack.step_s / SECONDS_PER_HOUR
-    out = np.empty((8, s, n))
-    kernel._njit_cell_loop(
-        np.ascontiguousarray(stack.solar_per_kw_w.T),
-        np.ascontiguousarray(stack.wind_per_turbine_w.T),
-        np.ascontiguousarray(stack.load_w.T),
-        np.ascontiguousarray(stack.ci_g_per_kwh.T),
-        np.ascontiguousarray(stack.prices_usd_kwh.T),
-        np.ascontiguousarray(stack.export_credit_usd_kwh[:, 0]),
-        np.asarray(solar_kw, dtype=np.float64),
-        np.asarray(turbine_factor, dtype=np.float64),
-        cap,
-        energy0,
-        table,
-        dt_h,
-        params.eta_charge,
-        params.eta_discharge,
-        params.max_charge_c_rate,
-        params.max_discharge_c_rate,
-        params.taper_soc_threshold,
-        params.soc_max,
-        1.0 - params.self_discharge_per_hour * dt_h,
-        bool(policy.islanded),
-        out,
-    )
-    return out
-
-
 def _scalar_twin(policy: VectorizedPolicy, stack: ScenarioStack, s: int):
     """Build the scalar co-simulation policy for scenario row ``s``.
 
@@ -298,27 +262,12 @@ def scalar_oracle(stack, solar_kw, turbine_factor, capacity_wh, params, policy, 
     return out
 
 
-def run_all_engines(stack, solar_kw, turbine_factor, capacity_wh, params, policy):
-    """Reference loop plus every compiled engine, as (8, S, N) stacks."""
-    loop = result_rows(
-        run_dispatch(
-            stack, solar_kw, turbine_factor, capacity_wh, params, policy=policy, engine="loop"
-        )
-    )
-    segments = result_rows(
-        kernel.run_compiled(
-            stack, solar_kw, turbine_factor, capacity_wh, params, policy=policy, engine="segments"
-        )
-    )
-    njit_py = njit_fallback(stack, solar_kw, turbine_factor, capacity_wh, params, policy)
-    out = {"segments": segments, "njit-python": njit_py}
-    if kernel.HAS_NUMBA:
-        out["njit"] = result_rows(
-            kernel.run_compiled(
-                stack, solar_kw, turbine_factor, capacity_wh, params, policy=policy, engine="njit"
-            )
-        )
-    return loop, out
+def run_both(stack, solar_kw, turbine_factor, capacity_wh, params, policy):
+    """The reference loop's and the segments engine's accumulators, as
+    (8, S, N) stacks."""
+    args = (stack, solar_kw, turbine_factor, capacity_wh, params)
+    loop = result_rows(run_dispatch_loop(*args, policy=policy))
+    return loop, result_rows(kernel.run_dispatch_segments(*args, policy=policy))
 
 
 # -- property fuzz -----------------------------------------------------------
@@ -327,7 +276,7 @@ def run_all_engines(stack, solar_kw, turbine_factor, capacity_wh, params, policy
 class TestPropertyFuzz:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_engines_bitwise_equal_on_random_problems(self, seed):
-        """loop == segments == njit kernel, per cell, on random draws."""
+        """loop == segments, per cell, on random draws."""
         rng = np.random.default_rng(1_000 + seed)
         s = int(rng.integers(1, 4))
         t = int(rng.choice([1, 7, 25, 49]))
@@ -337,25 +286,20 @@ class TestPropertyFuzz:
         params = random_params(rng)
         cands = random_candidates(rng, n)
         for policy in random_policies(rng, s):
-            loop, engines = run_all_engines(stack, *cands, params, policy)
-            for name, rows in engines.items():
-                assert_rows_equal(
-                    rows, loop, f"seed={seed} {type(policy).__name__} {name}"
-                )
+            loop, segments = run_both(stack, *cands, params, policy)
+            assert_rows_equal(segments, loop, f"seed={seed} {type(policy).__name__}")
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_engines_match_scalar_cosim_oracle(self, seed):
         """Per-cell scalar co-simulation (CLCBattery + policy twins)
-        reproduces the batch loop bit-for-bit — and therefore every
-        compiled engine too (transitively, via the fuzz test above)."""
+        reproduces the batch loop bit-for-bit — and therefore the
+        segments engine too (transitively, via the fuzz test above)."""
         rng = np.random.default_rng(7_000 + seed)
         stack = random_stack(rng, 2, 25, float(rng.choice([1_800.0, 3_600.0])))
         params = random_params(rng)
         cands = random_candidates(rng, 4)
         for policy in random_policies(rng, 2):
-            loop = result_rows(
-                run_dispatch(stack, *cands, params, policy=policy, engine="loop")
-            )
+            loop = result_rows(run_dispatch_loop(stack, *cands, params, policy=policy))
             oracle = scalar_oracle(stack, *cands, params, policy)
             assert_rows_equal(loop, oracle, f"seed={seed} {type(policy).__name__} oracle")
 
@@ -373,18 +317,16 @@ class TestPropertyFuzz:
         cands = random_candidates(rng, n)
         for policy in random_policies(rng, s):
             label = f"seed={seed} S={s} N={n} T={t} {type(policy).__name__}"
-            loop = run_dispatch(
-                stack, *cands, params, policy=policy, engine="loop", trace_soc=True
-            )
-            for engine in ("segments", "auto"):
-                got = run_dispatch(
-                    stack, *cands, params, policy=policy, engine=engine, trace_soc=True
-                )
+            loop = run_dispatch_loop(stack, *cands, params, policy=policy, trace_soc=True)
+            for engine in (kernel.run_dispatch_segments, run_dispatch):
+                got = engine(stack, *cands, params, policy=policy, trace_soc=True)
                 assert got.soc.shape == (s, n, t + 1)
                 np.testing.assert_array_equal(
-                    got.soc, loop.soc, err_msg=f"{label} {engine}: SoC trace"
+                    got.soc, loop.soc, err_msg=f"{label} {engine.__name__}: SoC trace"
                 )
-                assert_rows_equal(result_rows(got), result_rows(loop), f"{label} {engine}")
+                assert_rows_equal(
+                    result_rows(got), result_rows(loop), f"{label} {engine.__name__}"
+                )
 
     def test_grouped_candidate_layout(self):
         """The paper-style repeated-(solar, wind) layout exercises the
@@ -398,16 +340,14 @@ class TestPropertyFuzz:
         cap = rng.uniform(0.0, 5e7, pairs * g)
         cap[0] = 0.0
         for policy in random_policies(rng, 2):
-            loop, engines = run_all_engines(stack, solar_kw, turbine, cap, params, policy)
-            for name, rows in engines.items():
-                assert_rows_equal(rows, loop, f"grouped {type(policy).__name__} {name}")
+            loop, segments = run_both(stack, solar_kw, turbine, cap, params, policy)
+            assert_rows_equal(segments, loop, f"grouped {type(policy).__name__}")
 
 
 class TestEdgeRegimes:
     def _check(self, stack, solar_kw, turbine, cap, params, policy, label):
-        loop, engines = run_all_engines(stack, solar_kw, turbine, cap, params, policy)
-        for name, rows in engines.items():
-            assert_rows_equal(rows, loop, f"{label} {name}")
+        loop, segments = run_both(stack, solar_kw, turbine, cap, params, policy)
+        assert_rows_equal(segments, loop, label)
         oracle = scalar_oracle(stack, solar_kw, turbine, cap, params, policy)
         assert_rows_equal(loop, oracle, f"{label} oracle")
 
@@ -439,7 +379,7 @@ class TestEdgeRegimes:
             self._check(stack, *cands, random_params(rng), policy, "single-step")
 
     def test_zero_candidates(self):
-        """No candidates: every engine returns ``(S, 0)`` totals, and an
+        """No candidates: every path returns ``(S, 0)`` totals, and an
         ``(S, 0, T+1)`` SoC trace when traced, as the loop does; the lane
         plan must not divide by S·N = 0."""
         rng = np.random.default_rng(17)
@@ -448,17 +388,11 @@ class TestEdgeRegimes:
         for t in (25, 8_760):
             stack = random_stack(rng, 2, t, 3_600.0)
             for trace_soc in (False, True):
-                loop = run_dispatch(stack, none, none, none, params, engine="loop",
-                                    trace_soc=trace_soc)
+                loop = run_dispatch_loop(stack, none, none, none, params, trace_soc=trace_soc)
                 runs = {
-                    engine: run_dispatch(stack, none, none, none, params, engine=engine,
-                                         trace_soc=trace_soc)
-                    for engine in ("auto", "segments")
+                    engine.__name__: engine(stack, none, none, none, params, trace_soc=trace_soc)
+                    for engine in (run_dispatch, kernel.run_dispatch_segments)
                 }
-                for dtype in (np.float64, np.float32):
-                    runs[np.dtype(dtype).name] = kernel.run_dispatch_segments(
-                        stack, none, none, none, params, dtype=dtype, trace_soc=trace_soc
-                    )
                 for name, got in runs.items():
                     label = f"T={t} trace={trace_soc} {name}"
                     assert result_rows(got).shape == result_rows(loop).shape == (8, 2, 0), label
@@ -481,10 +415,8 @@ class TestEdgeRegimes:
         cands = random_candidates(rng, 1)
         params = random_params(rng)
         policy = DefaultDispatch()
-        loop = run_dispatch(stack, *cands, params, policy=policy, engine="loop")
-        segments = kernel.run_compiled(
-            stack, *cands, params, policy=policy, engine="segments"
-        )
+        loop = run_dispatch_loop(stack, *cands, params, policy=policy)
+        segments = kernel.run_dispatch_segments(stack, *cands, params, policy=policy)
         assert_rows_equal(result_rows(segments), result_rows(loop), "S=N=1")
 
     #: The segments accumulators of the S = N = 1, T = 203 draw below, as
@@ -514,9 +446,7 @@ class TestEdgeRegimes:
         stack = random_stack(rng, 1, 203, 3_600.0)
         cands = (np.array([500.0]), np.array([0.3]), np.array([2.0e7]))
         params = random_params(rng)
-        segments = kernel.run_compiled(
-            stack, *cands, params, policy=DefaultDispatch(), engine="segments"
-        )
+        segments = kernel.run_dispatch_segments(stack, *cands, params, policy=DefaultDispatch())
         got = tuple(float(x).hex() for x in result_rows(segments).reshape(-1))
         assert got == self.SINGLE_CELL_PINNED_HEX
 
@@ -552,13 +482,10 @@ class TestMultiChunkFuzz:
         s, n, t = stack.n_scenarios, cands[0].size, stack.n_steps
         for policy in random_policies(np.random.default_rng(t), s):
             tag = f"{label} {type(policy).__name__}"
-            loop = run_dispatch(
-                stack, *cands, params, policy=policy, engine="loop", trace_soc=True
-            )
+            loop = run_dispatch_loop(stack, *cands, params, policy=policy, trace_soc=True)
             for trace_soc in (False, True):
-                got = run_dispatch(
-                    stack, *cands, params, policy=policy, engine="segments",
-                    trace_soc=trace_soc,
+                got = kernel.run_dispatch_segments(
+                    stack, *cands, params, policy=policy, trace_soc=trace_soc
                 )
                 assert_rows_equal(
                     result_rows(got), result_rows(loop), f"{tag} trace={trace_soc}"
@@ -621,11 +548,9 @@ class TestMultiChunkFuzz:
             stack = random_stack(rng, 1, t, step_s)
             for policy in random_policies(rng, 1):
                 label = f"S=N=1 T={t} dt={step_s} cap={cap_wh} {type(policy).__name__}"
-                loop = run_dispatch(
-                    stack, *cands, params, policy=policy, engine="loop", trace_soc=True
-                )
-                got = run_dispatch(
-                    stack, *cands, params, policy=policy, engine="segments", trace_soc=True
+                loop = run_dispatch_loop(stack, *cands, params, policy=policy, trace_soc=True)
+                got = kernel.run_dispatch_segments(
+                    stack, *cands, params, policy=policy, trace_soc=True
                 )
                 np.testing.assert_array_equal(got.soc, loop.soc, err_msg=f"{label}: SoC")
                 if t == 6:
@@ -656,7 +581,7 @@ def assert_bitwise(got: np.ndarray, want: np.ndarray, label: str) -> None:
 
 
 def scalar_routed(t: int, flat: int) -> bool:
-    """Whether ``run_dispatch_segments`` sends a float64 call T steps and
+    """Whether ``run_dispatch_segments`` sends a call T steps and
     S·N = ``flat`` cells wide to the scalar path."""
     lanes = kernel._lane_plan(t, flat)[0]
     return flat <= kernel._SCALAR_CELLS and flat * lanes <= kernel._SCALAR_LANE_CELLS
@@ -665,7 +590,7 @@ def scalar_routed(t: int, flat: int) -> bool:
 class TestNarrowPath:
     """The segments engine's scalar path against its vector path.
 
-    ``run_dispatch_segments`` sends float64 calls of at most
+    ``run_dispatch_segments`` sends calls of at most
     ``kernel._SCALAR_CELLS`` cells whose lane step would be narrow to a
     per-cell body on Python floats (:func:`kernel._segments_scalar`,
     which lane re-runs mirror); its
@@ -694,9 +619,7 @@ class TestNarrowPath:
         s, n = stack.n_scenarios, cands[0].size
         for policy in random_policies(np.random.default_rng(stack.n_steps), s):
             tag = f"{label} {type(policy).__name__}"
-            loop = run_dispatch(
-                stack, *cands, params, policy=policy, engine="loop", trace_soc=True
-            )
+            loop = run_dispatch_loop(stack, *cands, params, policy=policy, trace_soc=True)
             for trace_soc in (False, True):
                 got = kernel._segments_scalar(
                     stack, *cands, params, policy=policy, trace_soc=trace_soc
@@ -726,33 +649,28 @@ class TestNarrowPath:
         self._check(stack, self.candidates(rng, n), random_params(rng), f"S={s} N={n} T={t}")
 
     def test_routing_follows_lane_plan(self, monkeypatch):
-        """Narrow float64 calls run the scalar path unless their lane step
+        """Narrow calls run the scalar path unless their lane step
         would hold more than ``_SCALAR_LANE_CELLS`` cells: a 720-step call
         (8 lanes) keeps two cells scalar and runs four in lanes; a 1 440-step
         one (16 lanes) keeps one cell scalar and runs two in lanes; a
         full-year one (128 lanes at one cell) runs one cell in lanes;
         anything short enough for one lane up to six cells stays scalar;
-        float32 and seven cells never do."""
+        seven cells never do."""
         taken = []
         for name in ("_segments_scalar", "_segments_vector"):
             monkeypatch.setattr(kernel, name, lambda *a, _n=name, **k: taken.append(_n))
         rng = np.random.default_rng(12_400)
         cases = (
-            (720, 2, np.float64, True), (720, 4, np.float64, False),
-            (1_440, 1, np.float64, True), (1_440, 2, np.float64, False),
-            (8_760, 1, np.float64, False),
-            (100, 6, np.float64, True), (100, 7, np.float64, False),
-            (100, 1, np.float32, False),
+            (720, 2, True), (720, 4, False), (1_440, 1, True), (1_440, 2, False),
+            (8_760, 1, False), (100, 6, True), (100, 7, False),
         )
-        for t, n, dtype, scalar in cases:
-            assert scalar_routed(t, n) == scalar or dtype == np.float32
+        for t, n, scalar in cases:
+            assert scalar_routed(t, n) == scalar
             taken.clear()
             stack = random_stack(rng, 1, t, 3_600.0)
-            kernel.run_dispatch_segments(
-                stack, *random_candidates(rng, n), random_params(rng), dtype=dtype
-            )
+            kernel.run_dispatch_segments(stack, *random_candidates(rng, n), random_params(rng))
             want = "_segments_scalar" if scalar else "_segments_vector"
-            assert taken == [want], (t, n, np.dtype(dtype).name)
+            assert taken == [want], (t, n)
 
     def test_net_load_hits_signed_zero(self):
         """Steps whose net load is exactly 0.0 or -0.0: idle generation
@@ -817,14 +735,14 @@ class TestNarrowPath:
             assert_bitwise(got, want, f"T={t} draw {draw}")
 
 
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("dtype", [np.float64])
     def test_fold_pairwise_is_numpy_group_reduce(self, dtype):
         """``kernel._fold_pairwise`` against numpy itself: one
         ``np.add.reduce`` over each contiguous ``[total, c1..c8]`` of a
         chunk, as the vector step folded at S·N = 1 group by group.  Two
         chunks in a row (the second continues the first's totals), every
         chunk length 0..40 (so every tail, the pairwise 7-step one
-        included), float64 and float32, magnitudes 1e-3..1e9 of either
+        included), magnitudes 1e-3..1e9 of either
         sign, ±0.0, NaN and ±inf mixed in; compared by bit pattern."""
         rng = np.random.default_rng(22_100)
         specials = np.array([0.0, -0.0, np.nan, np.inf, -np.inf])
@@ -840,7 +758,7 @@ class TestNarrowPath:
                 chunks.append(steps.astype(dtype))
             want = np.zeros(8, dtype=dtype)
             got = np.zeros(8, dtype=dtype)
-            with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, float32 overflow
+            with np.errstate(invalid="ignore"):  # inf - inf is part of the draw
                 for steps in chunks:
                     for g0 in range(0, steps.shape[1], kernel._FOLD_STEPS):
                         for j in range(8):
@@ -852,14 +770,13 @@ class TestNarrowPath:
             )
 
 
-def run_lanes(stack, cands, params, policy=None, plan=(1, 0, None), dtype=np.float64,
-              trace_soc=False, guess=None):
+def run_lanes(stack, cands, params, policy=None, plan=(1, 0, None), trace_soc=False, guess=None):
     """``kernel._segments_lanes`` with a ``(lanes, overlap, window)`` plan;
     a window of None is the whole horizon."""
     lanes, overlap, window = plan
     return kernel._segments_lanes(
-        stack, *cands, params, 0.5, policy, dtype, trace_soc,
-        lanes, overlap, window or stack.n_steps, guess,
+        stack, *cands, params, 0.5, policy, trace_soc, lanes, overlap, window or stack.n_steps,
+        guess,
     )
 
 
@@ -870,27 +787,23 @@ class TestTimeLanes:
     once, each from a guessed energy some steps before its boundary,
     checks every boundary by bit pattern and re-runs the misses; one
     lane is the sequential step.  Accumulators and SoC traces must be
-    the one-lane run's bits (uint64 views of the float64 results, which
-    widen float32 exactly) for every lowerable policy, hourly and
-    15-minute steps, float64 and float32, untraced and traced, on
-    horizons that cross lane and window edges (short plans keep it fast).
+    the one-lane run's bits (uint64 views) for every lowerable policy,
+    hourly and 15-minute steps, untraced and traced, on horizons that
+    cross lane and window edges (short plans keep it fast).
     """
 
     #: (lanes, overlap, window): ragged lanes in several windows, lanes
     #: that start right at their boundary, more lanes than fit.
     PLANS = ((4, 8, 48), (3, 5, 40), (8, 0, 64), (16, 3, 1_000))
 
-    def _check(self, stack, cands, params, label, plans=PLANS, guesses=(None,),
-               dtypes=(np.float64, np.float32)):
+    def _check(self, stack, cands, params, label, plans=PLANS, guesses=(None,)):
         s = stack.n_scenarios
         for policy in random_policies(np.random.default_rng(stack.n_steps), s):
-            for dtype, trace in itertools.product(dtypes, (False, True)):
-                tag = f"{label} {type(policy).__name__} {np.dtype(dtype).name} trace={trace}"
-                want = run_lanes(stack, cands, params, policy, dtype=dtype, trace_soc=trace)
+            for trace in (False, True):
+                tag = f"{label} {type(policy).__name__} trace={trace}"
+                want = run_lanes(stack, cands, params, policy, trace_soc=trace)
                 for plan, guess in itertools.product(plans, guesses):
-                    got = run_lanes(
-                        stack, cands, params, policy, plan, dtype, trace, guess
-                    )
+                    got = run_lanes(stack, cands, params, policy, plan, trace, guess)
                     assert_bitwise(
                         result_rows(got), result_rows(want), f"{tag} plan={plan} guess={guess}"
                     )
@@ -1134,7 +1047,7 @@ class TestTimeLanes:
         until the S·N = 1 fold is fixed."""
         stack = stack_scenarios([houston])
         cands = _candidate_vectors([MicrogridComposition(4, 20_000.0, 3)])
-        got = run_dispatch(stack, *cands, CLCParameters(capacity_wh=1.0), engine="segments")
+        got = kernel.run_dispatch_segments(stack, *cands, CLCParameters(capacity_wh=1.0))
         assert tuple(float(x).hex() for x in result_rows(got).reshape(-1)) == self.ONE_CELL_YEAR_HEX
 
     def test_one_cell_full_year_memory(self, houston):
@@ -1157,7 +1070,7 @@ class TestTimeLanes:
             assert peak <= limit_mb * 1e6, f"trace={trace_soc}: {peak / 1e6:.2f} MB"
 
 
-# -- engine selection semantics ----------------------------------------------
+# -- run_dispatch's routing ----------------------------------------------------
 
 
 class _CustomPolicy(VectorizedPolicy):
@@ -1166,66 +1079,117 @@ class _CustomPolicy(VectorizedPolicy):
 
 
 class TestEngineResolution:
-    def test_auto_picks_compiled_engine_for_standard_policies(self):
-        expected = "njit" if kernel.HAS_NUMBA else "segments"
-        assert kernel.resolve_engine("auto", DefaultDispatch()) == expected
-        assert kernel.resolve_engine("auto", None) == expected
+    """``run_dispatch`` picks its path from the call alone ("auto"):
+    flow traces, unlowerable policies and a single traced cell run on
+    the reference loop, everything else on the segments engine."""
 
-    def test_auto_falls_back_to_loop_for_tracing(self):
+    @staticmethod
+    def _spy(monkeypatch):
+        calls = []
+        real = kernel.run_dispatch_segments
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs.get("trace_soc", False))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(kernel, "run_dispatch_segments", spy)
+        return calls
+
+    @staticmethod
+    def _problem(seed, n=3):
+        rng = np.random.default_rng(seed)
+        return random_stack(rng, 2, 25, 3_600.0), random_candidates(rng, n), random_params(rng)
+
+    def test_auto_picks_compiled_engine_for_standard_policies(self, monkeypatch):
+        calls = self._spy(monkeypatch)
+        stack, cands, params = self._problem(40)
+        for policy in (*random_policies(np.random.default_rng(40), 2), None):
+            run_dispatch(stack, *cands, params, policy=policy)
+        assert calls == [False] * 8
+
+    def test_auto_falls_back_to_loop_for_tracing(self, monkeypatch):
         """Per-step flows are recorded by the loop alone."""
+        calls = self._spy(monkeypatch)
+        stack, cands, params = self._problem(41)
         for trace_soc in (False, True):
-            resolved = kernel.resolve_engine(
-                "auto", DefaultDispatch(), trace_soc=trace_soc, trace_flows=True
-            )
-            assert resolved == "loop"
+            got = run_dispatch(stack, *cands, params, trace_soc=trace_soc, trace_flows=True)
+            want = run_dispatch_loop(stack, *cands, params, trace_soc=trace_soc, trace_flows=True)
+            assert got.flows.keys() == want.flows.keys()
+            for name, flow in want.flows.items():
+                assert_bitwise(got.flows[name], flow, name)
+            assert_rows_equal(result_rows(got), result_rows(want), f"flows trace_soc={trace_soc}")
+        assert not calls
 
-    def test_auto_routes_soc_trace_to_segments(self):
-        """Even with numba installed: njit records no trace."""
-        assert kernel.resolve_engine("auto", DefaultDispatch(), trace_soc=True) == "segments"
-        assert kernel.resolve_engine("auto", _CustomPolicy(), trace_soc=True) == "loop"
+    def test_auto_routes_soc_trace_to_segments(self, monkeypatch):
+        calls = self._spy(monkeypatch)
+        stack, cands, params = self._problem(42)
+        run_dispatch(stack, *cands, params, policy=DefaultDispatch(), trace_soc=True)
+        run_dispatch(stack, *cands, params, policy=_CustomPolicy(), trace_soc=True)
+        assert calls == [True]
 
-    def test_auto_falls_back_to_loop_for_custom_policy(self):
-        assert kernel.resolve_engine("auto", _CustomPolicy()) == "loop"
+    def test_auto_falls_back_to_loop_for_custom_policy(self, monkeypatch):
+        calls = self._spy(monkeypatch)
+        stack, cands, params = self._problem(43)
+        got = run_dispatch(stack, *cands, params, policy=_CustomPolicy(), trace_soc=True)
+        want = run_dispatch_loop(stack, *cands, params, policy=_CustomPolicy(), trace_soc=True)
+        assert_rows_equal(result_rows(got), result_rows(want), "custom policy")
+        assert_bitwise(got.soc, want.soc, "custom policy: SoC")
+        assert not calls
 
     def test_explicit_engine_refuses_tracing(self):
-        with pytest.raises(ConfigurationError):
-            kernel.resolve_engine("segments", DefaultDispatch(), trace_flows=True)
-        with pytest.raises(ConfigurationError, match="SoC trace"):
-            kernel.resolve_engine("njit", DefaultDispatch(), trace_soc=True)
+        """The segments engine records no per-step flows: called directly
+        it has no ``trace_flows`` to ask for, and a traced call returns
+        the SoC alone."""
+        stack, cands, params = self._problem(46)
+        with pytest.raises(TypeError, match="trace_flows"):
+            kernel.run_dispatch_segments(stack, *cands, params, trace_flows=True)
+        assert kernel.run_dispatch_segments(stack, *cands, params, trace_soc=True).flows is None
 
     def test_explicit_segments_accepts_soc_trace(self):
-        assert (
-            kernel.resolve_engine("segments", DefaultDispatch(), trace_soc=True)
-            == "segments"
-        )
+        stack, cands, params = self._problem(44)
+        got = kernel.run_dispatch_segments(stack, *cands, params, trace_soc=True)
+        want = run_dispatch_loop(stack, *cands, params, trace_soc=True)
+        assert_rows_equal(result_rows(got), result_rows(want), "segments traced")
+        np.testing.assert_array_equal(got.soc, want.soc)
 
-    def test_auto_single_cell_soc_trace_stays_on_loop(self):
+    def test_auto_single_cell_soc_trace_stays_on_loop(self, monkeypatch):
         """S·N = 1 is where the segments fold is inexact (the strict xfail
-        above, same draw), so a traced auto call keeps the loop's sums."""
+        above, same draw), so a traced call keeps the loop's sums."""
+        calls = self._spy(monkeypatch)
         rng = np.random.default_rng(15)
         stack = random_stack(rng, 1, 25, 3_600.0)
         cands = random_candidates(rng, 1)
         params = random_params(rng)
-        loop = run_dispatch(stack, *cands, params, engine="loop", trace_soc=True)
+        loop = run_dispatch_loop(stack, *cands, params, trace_soc=True)
         auto = run_dispatch(stack, *cands, params, trace_soc=True)
-        assert_rows_equal(result_rows(auto), result_rows(loop), "S=N=1 traced auto")
+        assert_rows_equal(result_rows(auto), result_rows(loop), "S=N=1 traced")
         np.testing.assert_array_equal(auto.soc, loop.soc)
+        assert not calls
 
     def test_explicit_engine_refuses_unlowerable_policy(self):
-        with pytest.raises(ConfigurationError):
-            kernel.resolve_engine("segments", _CustomPolicy())
+        stack, cands, params = self._problem(45)
+        with pytest.raises(ConfigurationError, match="cannot be lowered") as err:
+            kernel.run_dispatch_segments(stack, *cands, params, policy=_CustomPolicy())
+        assert "engine" not in str(err.value)
 
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ConfigurationError):
-            kernel.resolve_engine("turbo", DefaultDispatch())
+        """No call names an engine any more: ``engine`` is an unknown
+        argument to ``run_dispatch`` and ``StudySpec``, and ``--engine``
+        an unknown flag of ``repro study run``/``resume``."""
+        from repro.cli import main
+        from repro.core.study_spec import StudySpec
 
-    @pytest.mark.skipif(kernel.HAS_NUMBA, reason="numba is installed here")
-    def test_explicit_njit_without_numba_refuses(self):
-        with pytest.raises(ConfigurationError, match="numba"):
-            kernel.resolve_engine("njit", DefaultDispatch())
+        stack, cands, params = self._problem(47)
+        with pytest.raises(TypeError, match="engine"):
+            run_dispatch(stack, *cands, params, engine="segments")
+        with pytest.raises(TypeError, match="engine"):
+            StudySpec(engine="loop")
+        for verb in ("run", "resume"):
+            with pytest.raises(SystemExit):  # argparse: unrecognized arguments
+                main(["study", verb, "--storage", "unused.jsonl", "--engine", "segments"])
 
     def test_auto_never_changes_results_vs_loop(self, houston_month, berkeley_month):
-        """Tier-1 guard: the default engine is bit-for-bit the loop."""
+        """Tier-1 guard: the default path is bit-for-bit the loop."""
         stack = stack_scenarios([houston_month, berkeley_month])
         solar_kw = np.array([0.0, 9_000.0, 24_000.0])
         turbine = np.array([0.0, 4.0, 12.0])
@@ -1237,9 +1201,7 @@ class TestEngineResolution:
                 run_dispatch(stack, solar_kw, turbine, cap, params, policy=policy)
             )
             loop = result_rows(
-                run_dispatch(
-                    stack, solar_kw, turbine, cap, params, policy=policy, engine="loop"
-                )
+                run_dispatch_loop(stack, solar_kw, turbine, cap, params, policy=policy)
             )
             assert_rows_equal(auto, loop, f"auto-vs-loop {type(policy).__name__}")
 
@@ -1265,16 +1227,17 @@ RAINFLOW_COMPS = [
 
 
 class TestRainflowEndToEnd:
-    """Rainflow fade counts cycles off the SoC trace, so ``auto`` runs it
-    on the segments engine (the loop for one cell): every metric, fade
-    included, must equal the loop's bit for bit."""
+    """Rainflow fade counts cycles off the SoC trace, so ``run_dispatch``
+    runs it on the segments engine (the loop for one cell): every metric,
+    fade included, must equal the loop's bit for bit."""
 
     @pytest.mark.parametrize("n_members, n_comps", [(4, 4), (1, 1)])
-    def test_auto_equals_loop(self, rainflow_members, n_members, n_comps):
+    def test_auto_equals_loop(self, rainflow_members, n_members, n_comps, request):
         members = rainflow_members[:n_members]
         comps = RAINFLOW_COMPS[:n_comps]
-        auto = evaluate_across_scenarios(members, comps, engine="auto")
-        loop = evaluate_across_scenarios(members, comps, engine="loop")
+        auto = evaluate_across_scenarios(members, comps)
+        request.getfixturevalue("loop_dispatch")
+        loop = evaluate_across_scenarios(members, comps)
         for row_auto, row_loop in zip(auto, loop):
             for a, b in zip(row_auto, row_loop):
                 assert dataclasses.asdict(a.metrics) == dataclasses.asdict(b.metrics)
@@ -1284,91 +1247,13 @@ class TestRainflowEndToEnd:
         """``soc_histories`` reads the segments trace through its
         transposed view; ``soc_history`` of one build runs the loop."""
         evaluator = BatchEvaluator(rainflow_members[0])
-        loop = run_dispatch(
+        loop = run_dispatch_loop(
             stack_scenarios(rainflow_members[:1]),
             *_candidate_vectors(RAINFLOW_COMPS),
             evaluator.battery_params,
-            engine="loop",
             trace_soc=True,
         ).soc[0].T
         np.testing.assert_array_equal(evaluator.soc_histories(RAINFLOW_COMPS), loop)
         for i, comp in enumerate(RAINFLOW_COMPS):
             if comp.battery_wh > 0:
                 np.testing.assert_array_equal(evaluator.soc_history(comp), loop[:, i])
-
-
-@pytest.mark.skipif(
-    not kernel.HAS_NUMBA,
-    reason="numba not installed — the compiled njit engine leg runs on the CI numba job",
-)
-class TestNjitCompiled:
-    def test_compiled_njit_bitwise_equal_to_loop(self, houston_month, berkeley_month):
-        stack = stack_scenarios([houston_month, berkeley_month])
-        rng = np.random.default_rng(31)
-        cands = random_candidates(rng, 9)
-        params = CLCParameters(capacity_wh=1.0)
-        for policy in random_policies(rng, 2):
-            loop = result_rows(
-                run_dispatch(stack, *cands, params, policy=policy, engine="loop")
-            )
-            njit = result_rows(
-                run_dispatch(stack, *cands, params, policy=policy, engine="njit")
-            )
-            assert_rows_equal(njit, loop, f"njit {type(policy).__name__}")
-
-
-# -- float32 racing fast path -------------------------------------------------
-
-#: documented accuracy of the float32 segments variant on full aggregates
-#: (DESIGN.md §9); racing rungs only need bounds, not bitwise equality.
-FLOAT32_REL_EPS = 1e-4
-
-
-class TestFloat32Rungs:
-    def test_float32_aggregates_within_epsilon_on_both_sites(
-        self, houston_month, berkeley_month
-    ):
-        params = CLCParameters(capacity_wh=1.0)
-        solar_kw = np.array([0.0, 9_000.0, 24_000.0])
-        turbine = np.array([0.0, 4.0, 12.0])
-        cap = np.array([0.0, 2.25e7, 6.0e7])
-        for scenario in (houston_month, berkeley_month):
-            stack = stack_scenarios([scenario])
-            f64 = result_rows(
-                kernel.run_dispatch_segments(stack, solar_kw, turbine, cap, params)
-            )
-            f32 = result_rows(
-                kernel.run_dispatch_segments(
-                    stack, solar_kw, turbine, cap, params, dtype=np.float32
-                )
-            )
-            scale = np.maximum(np.abs(f64), 1.0)
-            rel = np.abs(f32 - f64) / scale
-            assert rel.max() < FLOAT32_REL_EPS, (scenario.name, rel.max())
-
-    def test_float32_output_is_float64_promoted(self, houston_month):
-        stack = stack_scenarios([houston_month])
-        res = kernel.run_dispatch_segments(
-            stack,
-            np.array([9_000.0]),
-            np.array([4.0]),
-            np.array([2.25e7]),
-            CLCParameters(capacity_wh=1.0),
-            dtype=np.float32,
-        )
-        for name in FIELDS:
-            assert getattr(res, name).dtype == np.float64
-
-    def test_float32_soc_trace_is_float64_promoted(self, houston_month):
-        """The float32 trace widens to float64 and tracks the float64
-        trace within the rung epsilon (not bitwise — float32 is not)."""
-        stack = stack_scenarios([houston_month])
-        cands = (np.array([0.0, 9_000.0]), np.array([4.0, 0.0]), np.array([2.25e7, 6.0e7]))
-        params = CLCParameters(capacity_wh=1.0)
-        f64 = kernel.run_dispatch_segments(stack, *cands, params, trace_soc=True)
-        f32 = kernel.run_dispatch_segments(
-            stack, *cands, params, dtype=np.float32, trace_soc=True
-        )
-        assert f32.soc.dtype == np.float64
-        assert f32.soc.shape == f64.soc.shape == (1, 2, stack.n_steps + 1)
-        assert np.abs(f32.soc - f64.soc).max() < FLOAT32_REL_EPS

@@ -197,7 +197,7 @@ SMALL = dict(sites=("houston",), n_hours=720, n_trials=20, population=10, seed=7
 
 
 class TestTransportKnobs:
-    """remote_slots / lease_ttl are non-identity metadata, like engine."""
+    """remote_slots / lease_ttl are non-identity metadata."""
 
     def test_round_trip_through_metadata(self):
         spec = StudySpec(remote_slots=3, lease_ttl=45.0, **SMALL)

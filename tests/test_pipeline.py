@@ -133,9 +133,9 @@ class TestSpecZeroBitIdentity:
     """speculate=0 → the exact generation-batched run, worker-count free."""
 
     @pytest.mark.parametrize("workers", [1, 4])
-    def test_plain_matches_batched_runner(self, houston_month, workers):
-        reference = trial_rows(run_driver(houston_month, "blackbox", "loop"))
-        piped = run_driver(houston_month, "pipelined", "loop", workers=workers)
+    def test_plain_matches_batched_runner(self, houston_month, workers, loop_dispatch):
+        reference = trial_rows(run_driver(houston_month, "blackbox"))
+        piped = run_driver(houston_month, "pipelined", workers=workers)
         assert trial_rows(piped) == reference
 
     @pytest.mark.parametrize("workers", [1, 4])

@@ -23,13 +23,11 @@ import sys
 import textwrap
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro.blackbox import NSGA2Sampler, create_study
 from repro.blackbox.parallel import PipelinedDispatcher
 from repro.blackbox.trial import TrialState
-from repro.core.kernel import HAS_NUMBA
 from repro.core.ensemble import (
     EnsembleSpec,
     build_ensemble,
@@ -227,27 +225,18 @@ class TestRacedFrontExactness:
 
 
 class TestEngineMatrix:
-    """The dispatch engine knob (DESIGN.md §9) must not change racing."""
+    """The dispatch path ``run_dispatch`` picks (DESIGN.md §9) must not
+    change racing."""
 
-    ENGINES = [
-        "segments",
-        pytest.param(
-            "njit",
-            marks=pytest.mark.skipif(
-                not HAS_NUMBA,
-                reason="numba not installed — the njit engine leg runs on the CI numba job",
-            ),
-        ),
-    ]
-
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_raced_front_bit_identical_across_engines(self, engine, houston_ensemble):
+    # ``run_dispatch`` sends every call of a race to the segments engine;
+    # the parameter names the path compared with the loop.
+    @pytest.mark.parametrize("engine", ["segments"])
+    def test_raced_front_bit_identical_across_engines(self, engine, houston_ensemble, request):
         comps = SMALL_SPACE.all_compositions()
         schedule = RungSchedule.parse("rungs=2,full")
-        ref_front, ref_outcome = race_front(
-            houston_ensemble, comps, schedule, engine="loop"
-        )
-        front, outcome = race_front(houston_ensemble, comps, schedule, engine=engine)
+        front, outcome = race_front(houston_ensemble, comps, schedule)
+        request.getfixturevalue("loop_dispatch")
+        ref_front, ref_outcome = race_front(houston_ensemble, comps, schedule)
         assert _front_key(front) == _front_key(ref_front)
         # not just the front: every full-fidelity evaluation and every
         # elimination decision must be bit-identical
@@ -255,82 +244,6 @@ class TestEngineMatrix:
         assert set(outcome.evaluated) == set(ref_outcome.evaluated)
         for comp, e in outcome.evaluated.items():
             assert e.objectives() == ref_outcome.evaluated[comp].objectives(), comp
-
-
-class TestFloat32Rungs:
-    """The float32 segments variant in the lower rungs (DESIGN.md §9):
-    partial aggregates carry a ~1e-5 relative error, yet eliminations
-    stay sound and the front is bit-identical once survivors are
-    promoted to full-fidelity float64 evaluations."""
-
-    @staticmethod
-    def _float32_lower_rung_slice(ensemble):
-        """Slice evaluator: float32 segments for partial rungs, the
-        float64 reference path for the full rung."""
-        from repro.core import kernel
-        from repro.core.dispatch import stack_scenarios
-        from repro.core.fastsim import (
-            _candidate_vectors,
-            _results_from_dispatch,
-            evaluate_member_slice,
-        )
-        from repro.sam.batterymodels.clc import CLCParameters
-
-        def slice_fn(member_indices, comps):
-            if len(member_indices) == len(ensemble):
-                return evaluate_member_slice(ensemble, member_indices, comps)
-            stack = stack_scenarios([ensemble[j] for j in member_indices])
-            solar_kw, turb_eff, cap = _candidate_vectors(comps)
-            params = CLCParameters(capacity_wh=1.0)
-            res = kernel.run_dispatch_segments(
-                stack, solar_kw, turb_eff, cap, params, dtype=np.float32
-            )
-            return _results_from_dispatch(
-                stack, comps, solar_kw, turb_eff, cap, params, res
-            )
-
-        return slice_fn
-
-    @pytest.mark.parametrize("site", ["houston", "berkeley"])
-    def test_eliminations_sound_front_exact_after_f64_promotion(
-        self, site, houston_ensemble, berkeley_ensemble
-    ):
-        ensemble = houston_ensemble if site == "houston" else berkeley_ensemble
-        comps = SMALL_SPACE.all_compositions()
-        _, outcome = race_front(
-            ensemble,
-            comps,
-            RungSchedule.parse("rungs=2,full"),
-            evaluate_slice=self._float32_lower_rung_slice(ensemble),
-        )
-        # promote every survivor to a pure-float64 full evaluation; the
-        # front over them must equal the never-raced float64 front of
-        # the whole candidate set bit-for-bit — i.e. no candidate that
-        # belongs on the true front was eliminated by a float32 rung
-        survivors = list(outcome.evaluated)
-        promoted = pareto_front(evaluate_ensemble(ensemble, survivors))
-        full = pareto_front(evaluate_ensemble(ensemble, comps))
-        assert _front_key(promoted) == _front_key(full)
-        assert outcome.stats.pruned > 0, "racing never pruned — vacuous test"
-
-    def test_float32_partial_aggregates_within_documented_epsilon(
-        self, houston_ensemble, berkeley_ensemble
-    ):
-        """The rung-bound epsilon: float32 partial aggregates on both
-        paper sites sit within 1e-4 of the float64 values (DESIGN.md §9
-        documents the float32 path as non-bitwise but bound-accurate)."""
-        from repro.core.fastsim import evaluate_member_slice
-
-        comps = SMALL_SPACE.all_compositions()[:8]
-        for ensemble in (houston_ensemble, berkeley_ensemble):
-            f32_slice = self._float32_lower_rung_slice(ensemble)
-            members = [0, 1]  # a partial rung
-            f32 = f32_slice(members, comps)
-            f64 = evaluate_member_slice(ensemble, members, comps)
-            for row32, row64 in zip(f32, f64):
-                for e32, e64 in zip(row32, row64):
-                    for got, want in zip(e32.objectives(), e64.objectives()):
-                        assert got == pytest.approx(want, rel=1e-4, abs=1e-9)
 
 
 class TestStudyRacing:
@@ -382,35 +295,6 @@ class TestStudyRacing:
         self._run(houston_ensemble, plain, 15, racing=None)
         with pytest.raises(OptimizationError, match="racing"):
             self._run(houston_ensemble, plain, 40, load=True)
-
-    def test_raced_generations_keep_the_runners_engine(
-        self, houston_ensemble, monkeypatch
-    ):
-        """Every rung slice of a raced batched study runs the engine the
-        runner was built with, not the slice evaluator's default."""
-        import repro.core.fastsim as fastsim
-
-        real = fastsim.evaluate_member_slice
-        engines = []
-
-        def spy(*args, engine="auto", **kwargs):
-            engines.append(engine)
-            return real(*args, engine=engine, **kwargs)
-
-        for name, module in list(sys.modules.items()):
-            if name.startswith("repro.") and (
-                getattr(module, "evaluate_member_slice", None) is real
-            ):
-                monkeypatch.setattr(module, "evaluate_member_slice", spy)
-        result = OptimizationRunner(
-            houston_ensemble, space=SMALL_SPACE, engine="loop"
-        ).run_blackbox(
-            n_trials=20,
-            sampler=NSGA2Sampler(population_size=10, seed=42),
-            racing="rungs=2,full",
-        )
-        assert result.n_pruned > 0
-        assert engines and set(engines) == {"loop"}
 
 
 KILL_CHILD = textwrap.dedent(

@@ -128,6 +128,7 @@ class TestServiceVerbs:
             {"sites": 123},
             {"n_trials": MAX_TRIALS + 1},
             {"speculate": {}},
+            {"engine": "loop"},  # an unknown key: the engine field is gone
         ],
     )
     def test_spec_from_document_rejects_bad_values_as_service_errors(self, document):
@@ -256,7 +257,8 @@ class TestHttpApi:
 
     @pytest.mark.parametrize(
         "document",
-        [{"n_trials": -5}, {"population": 0}, {"sites": 123}, {"n_trials": 10**12}],
+        [{"n_trials": -5}, {"population": 0}, {"sites": 123}, {"n_trials": 10**12},
+         {"engine": "loop"}],  # an unknown key: the engine field is gone
     )
     def test_bad_spec_values_are_400(self, http_service, document):
         _, base = http_service

@@ -43,7 +43,6 @@ class TestRoundTrip:
             racing="rungs=2,8,full",
             fidelity="fidelity=lo,full",
             pipeline="speculate=4",
-            engine="loop",
             shards=2,
         )
         restored = StudySpec.from_metadata(spec.to_metadata())
@@ -65,8 +64,8 @@ class TestRoundTrip:
 
     def test_cli_metadata_shape_is_preserved(self):
         # Key-compatibility with what cmd_study_run historically wrote:
-        # optional features are *absent*, not None, and engine=auto is
-        # informational-only so it is never persisted.
+        # optional features are *absent*, not None, and no dispatch
+        # engine is persisted (the dispatch path is chosen per call).
         md = StudySpec(sites=("houston",)).to_metadata()
         assert md["site"] == "houston" and md["sites"] == ["houston"]
         for key in ("ensemble", "racing", "fidelity", "pipeline", "engine", "shards"):
@@ -75,8 +74,6 @@ class TestRoundTrip:
     def test_invalid_specs_fail_on_construction(self):
         with pytest.raises(OptimizationError, match="policy"):
             StudySpec(policy="nope")
-        with pytest.raises(OptimizationError, match="engine"):
-            StudySpec(engine="warp")
         with pytest.raises(OptimizationError, match="n_trials"):
             StudySpec(n_trials=0)
         with pytest.raises(Exception):
@@ -284,5 +281,30 @@ class TestOldCliPathResumesThroughSpec:
 
         reference = storage_from_url(full).load_study("houston-blackbox")
         resumed = storage.load_study("houston-blackbox")
+        assert len(resumed.trials) == 30
+        assert front_csv(resumed) == front_csv(reference)
+
+    @pytest.mark.parametrize("engine", ["loop", "segments", "njit"])
+    def test_stored_engine_key_is_ignored_on_resume(self, tmp_path, engine):
+        """Older stores carry the ``engine`` a spec was run with; it was
+        never identity, so `repro study resume` ignores it and reaches
+        the uninterrupted front."""
+        from repro.blackbox import storage_from_url
+        from repro.service import front_csv
+
+        full = str(tmp_path / "full.jsonl")
+        killed = str(tmp_path / "killed.jsonl")
+        assert self._run(full, trials=30) == 0
+        assert self._run(killed, trials=15) == 0
+        with storage_from_url(killed) as storage:
+            plain = storage.load_study("houston-blackbox").metadata
+            storage.update_metadata("houston-blackbox", {**plain, "engine": engine})
+            stored = storage.load_study("houston-blackbox").metadata
+        assert stored["engine"] == engine
+        assert StudySpec.from_metadata(stored) == StudySpec.from_metadata(plain)
+        assert main(["study", "resume", "--storage", killed, "--trials", "30"]) == 0
+
+        reference = storage_from_url(full).load_study("houston-blackbox")
+        resumed = storage_from_url(killed).load_study("houston-blackbox")
         assert len(resumed.trials) == 30
         assert front_csv(resumed) == front_csv(reference)
