@@ -1,7 +1,7 @@
 # Convenience targets — every command also works standalone with
 # PYTHONPATH=src (no install needed; see README.md "Install").
 
-.PHONY: test tier2 bench ci regression perfbench
+.PHONY: test tier2 bench ci regression perfbench loc
 
 # Tier-1 gate: what CI runs (pytest.ini deselects tier2/bench markers).
 test:
@@ -55,3 +55,9 @@ perfbench:
 	| tail -n 1 | python3 -c 'import json, sys; line = sys.stdin.read(); print(line, end=""); \
 	sys.exit(0 if json.loads(line).get("correct") is True else "perfbench: a Pareto front differs from perfbench/references.json")' \
 	|| exit 1; done
+
+# Python line counts per tree, as ROADMAP.md measures them (its size
+# targets are stated in these numbers).
+loc:
+	@for dir in src tests benchmarks perfbench; do \
+	printf '%-11s %s\n' $$dir "$$(find $$dir -name '*.py' | xargs cat | wc -l)"; done

@@ -23,7 +23,8 @@ This example stress-tests a shortlist of Houston candidates with:
 import numpy as np
 
 from repro import MicrogridComposition, BatchEvaluator, build_scenario
-from repro.core.multiyear import evaluate_across_years, robust_ranking
+from repro.core.metrics import aggregate_values
+from repro.core.multiyear import evaluate_across_years
 from repro.core.sensitivity import (
     best_under_budget_stability,
     crossover_year_analytic,
@@ -59,12 +60,14 @@ def main() -> None:
         "houston", SHORTLIST, year_labels=(2020, 2021, 2022, 2023, 2024)
     )
     print(f"{'composition':>16} {'op mean':>8} {'op worst':>9} {'CVaR25':>7} {'cov worst':>10}")
-    for o in robust_ranking(outcomes):
-        # cvar_operational delegates to the unified metrics reducer
-        # (aggregate_values(values, "cvar:0.25"), DESIGN.md §6).
+    scored = [
+        (aggregate_values(o.operational_tco2_day_by_year, "cvar:0.25"), o)
+        for o in outcomes
+    ]
+    for cvar25, o in sorted(scored, key=lambda pair: pair[0]):
         print(
             f"{o.composition.label():>16} {o.operational_mean:>8.2f} "
-            f"{o.operational_worst:>9.2f} {o.cvar_operational():>7.2f} "
+            f"{o.operational_worst:>9.2f} {cvar25:>7.2f} "
             f"{o.coverage_worst * 100:>9.1f}%"
         )
 

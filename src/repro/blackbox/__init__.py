@@ -11,8 +11,6 @@ reimplements the subset of Optuna's API the paper exercises:
   and a simplified TPE for the sampler-ablation bench,
 * Pareto utilities (non-dominated sorting, crowding distance,
   hypervolume) shared with :mod:`repro.core.pareto`,
-* a median pruner for the "dynamic pruning / early stopping" future-work
-  hook (§4.4),
 * **study persistence** (:mod:`repro.blackbox.storage`, DESIGN.md §3,
   §7) — ``create_study(storage=..., load_if_exists=True)`` resumes a
   killed study from a pluggable backend (in-memory, JSONL journal, or
@@ -27,7 +25,7 @@ reimplements the subset of Optuna's API the paper exercises:
 
 Storage-aware APIs: ``create_study`` / ``Study.ask`` / ``Study.tell``
 (record through a backend), ``PipelinedDispatcher`` (records trials as
-they complete).  Samplers, pruners, and distributions are pure
+they complete).  Samplers and distributions are pure
 strategies and never touch storage themselves.
 """
 
@@ -44,7 +42,6 @@ from .multiobjective import (
     non_dominated_sort,
     pareto_front_indices,
 )
-from .pruners import MedianPruner, NopPruner, SuccessiveHalvingPruner
 from .samplers import GridSampler, NSGA2Sampler, RandomSampler, ScalarizationSampler, TPESampler
 from .study import Study, StudyDirection, create_study
 from .trial import FrozenTrial, Trial, TrialState
@@ -79,9 +76,6 @@ __all__ = [
     "pareto_front_indices",
     "crowding_distance",
     "hypervolume_2d",
-    "MedianPruner",
-    "NopPruner",
-    "SuccessiveHalvingPruner",
     "RandomSampler",
     "GridSampler",
     "NSGA2Sampler",

@@ -18,7 +18,6 @@ Samplers speak two protocols over the same drawing logic:
 from __future__ import annotations
 
 import operator
-import warnings
 from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, Any
 
@@ -79,6 +78,7 @@ class Sampler(ABC):
     ) -> Any:
         """Value for parameter ``name`` of ``trial``."""
 
+    @abstractmethod
     def ask(
         self,
         study: "Study",
@@ -91,33 +91,7 @@ class Sampler(ABC):
         order), drawing from this sampler's RNG exactly like the
         define-by-run path does, so the two protocols are bit-identical
         for a fixed (seed, trial number, completed history).
-
-        This base implementation is the backward-compat shim for
-        ``sample()``-era subclasses: it replays the historical
-        one-parameter-at-a-time loop against a throwaway frozen trial.
-        In-tree samplers all override it natively (asserted by the docs
-        consistency suite); external subclasses should too — the shim
-        warns because a sampler that stashes per-trial state in
-        ``trial.system_attrs`` loses it here (the throwaway trial is
-        discarded, only the params survive).
         """
-        from ..trial import FrozenTrial
-
-        warnings.warn(
-            f"{type(self).__name__} implements only the legacy "
-            "Sampler.sample() interface; the ask/tell drivers emulate it "
-            "one parameter at a time. Override ask() natively "
-            "(DESIGN.md §10).",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        proxy = FrozenTrial(number=int(trial_number))
-        self.begin_trial(proxy.number)
-        for name, dist in space.items():
-            value = self.sample(study, proxy, name, dist)
-            proxy.params[name] = value
-            proxy.distributions[name] = dist
-        return dict(proxy.params)
 
     def tell(self, study: "Study", trial: "FrozenTrial") -> None:
         """Observe a finished trial (ask/tell protocol).

@@ -2,7 +2,7 @@
 
 Supports single- and multi-objective optimization with the ask/tell
 protocol and the higher-level ``optimize`` loop, trial bookkeeping,
-Pareto-front extraction (``best_trials``), and pluggable samplers/pruners.
+Pareto-front extraction (``best_trials``), and pluggable samplers.
 
 Studies are **storage-aware** (DESIGN.md §3): pass a
 :class:`~repro.blackbox.storage.StudyStorage` — or a storage spec
@@ -22,7 +22,6 @@ import numpy as np
 
 from ..exceptions import OptimizationError, TrialPruned
 from .multiobjective import pareto_front_indices
-from .pruners import NopPruner
 from .samplers.base import Sampler
 from .samplers.random import RandomSampler
 from .trial import FrozenTrial, Trial, TrialState
@@ -61,7 +60,6 @@ class Study:
         self,
         directions: Sequence["str | StudyDirection"] = ("minimize",),
         sampler: Sampler | None = None,
-        pruner=None,
         study_name: str = "study",
         storage: "StudyStorage | str | None" = None,
         metadata: dict[str, Any] | None = None,
@@ -72,7 +70,6 @@ class Study:
 
         self.directions = [StudyDirection.parse(d) for d in directions]
         self.sampler = sampler or RandomSampler()
-        self.pruner = pruner or NopPruner()
         self.study_name = study_name
         #: persistence backend; ``None`` keeps the study purely in-process
         #: (spec strings resolve through the URL registry, DESIGN.md §7)
@@ -230,7 +227,6 @@ def create_study(
     directions: "Sequence[str | StudyDirection] | None" = None,
     direction: "str | StudyDirection | None" = None,
     sampler: Sampler | None = None,
-    pruner=None,
     study_name: str = "study",
     storage: "StudyStorage | str | None" = None,
     load_if_exists: bool = False,
@@ -260,7 +256,6 @@ def create_study(
     study = Study(
         directions=directions,
         sampler=sampler,
-        pruner=pruner,
         study_name=study_name,
         storage=storage,
         metadata=metadata,

@@ -138,10 +138,6 @@ class Trial:
             raise OptimizationError("step must be non-negative")
         self._frozen.intermediate[int(step)] = float(value)
 
-    def should_prune(self) -> bool:
-        """Ask the study's pruner whether to abandon this trial."""
-        return self._study.pruner.should_prune(self._study, self._frozen)
-
     def prune(self) -> None:
         """Unconditionally abandon this trial."""
         raise TrialPruned(f"trial {self.number} pruned")

@@ -64,7 +64,7 @@ from .finance import (
     levelized_cost_usd_per_mwh,
     net_present_cost_usd,
 )
-from .multiyear import MultiYearOutcome, evaluate_across_years, robust_ranking
+from .multiyear import MultiYearOutcome, evaluate_across_years
 from .ensemble import (
     EnsembleMember,
     EnsembleSpec,
@@ -131,7 +131,6 @@ __all__ = [
     "levelized_cost_usd_per_mwh",
     "MultiYearOutcome",
     "evaluate_across_years",
-    "robust_ranking",
     "member_subset",
     "RungSchedule",
     "RacingEvaluator",

@@ -247,8 +247,7 @@ def cvar(values: Sequence[float], alpha: float) -> float:
 
     All objectives are minimized, so "worst" means *largest*;
     ``alpha=1`` degenerates to the mean, small ``alpha`` to the max.
-    This is the one CVaR implementation in the codebase (DESIGN.md §6) —
-    the multi-year layer's ``cvar_operational`` delegates here.
+    This is the one CVaR implementation in the codebase (DESIGN.md §6).
     """
     if not 0.0 < alpha <= 1.0:
         raise ConfigurationError(f"cvar alpha must be in (0, 1], got {alpha}")

@@ -12,8 +12,8 @@ Since the scenario-ensemble subsystem landed (DESIGN.md §6) this module
 is a thin, weather-year-only veneer over the general machinery: the
 year ensemble is evaluated as **one stacked N-candidates × S-years time
 loop** (:func:`repro.core.fastsim.evaluate_across_scenarios`) instead of
-a serial per-year sweep, and all risk statistics delegate to the unified
-reducers in :mod:`repro.core.metrics`.  For ensembles that cross more
+a serial per-year sweep; risk statistics such as CVaR over the year
+axis come from the unified reducers in :mod:`repro.core.metrics`.  For ensembles that cross more
 axes than the weather year (workload growth, carbon trajectories,
 tariff variants, dunkelflaute severity), use
 :class:`repro.core.ensemble.EnsembleSpec` directly.
@@ -30,7 +30,6 @@ from ..exceptions import ConfigurationError
 from .composition import MicrogridComposition
 from .embodied import embodied_carbon_kg
 from .fastsim import evaluate_across_scenarios
-from .metrics import aggregate_values
 from .scenario import build_scenario
 
 
@@ -62,15 +61,6 @@ class MultiYearOutcome:
     @property
     def coverage_worst(self) -> float:
         return float(self.coverage_by_year.min())
-
-    def cvar_operational(self, alpha: float = 0.25) -> float:
-        """Mean of the worst ``alpha`` fraction of years (robust objective).
-
-        Deprecation shim (DESIGN.md §6): the one CVaR implementation
-        lives in :func:`repro.core.metrics.cvar`; this method keeps the
-        historical signature and delegates there.
-        """
-        return aggregate_values(self.operational_tco2_day_by_year, f"cvar:{alpha}")
 
 
 def evaluate_across_years(
@@ -117,14 +107,3 @@ def evaluate_across_years(
         )
         for i, comp in enumerate(compositions)
     ]
-
-
-def robust_ranking(
-    outcomes: Sequence[MultiYearOutcome], alpha: float = 0.25
-) -> list[MultiYearOutcome]:
-    """Rank by CVaR of operational emissions (ascending = most robust).
-
-    Deprecation shim like :meth:`MultiYearOutcome.cvar_operational`: the
-    reduction itself is :func:`repro.core.metrics.cvar` (DESIGN.md §6).
-    """
-    return sorted(outcomes, key=lambda o: o.cvar_operational(alpha))

@@ -5,10 +5,11 @@ which Pareto front a fixed seed produces: the scenario keys (sites,
 year, horizon, load), the objective keys (dispatch policy, robust
 aggregate), the sampler keys (trials, population, seed), and the
 optional driver specs (ensemble, racing rung schedule, fidelity
-ladder, pipeline speculation depth, batch size).  Resuming a study
+ladder, pipeline speculation depth).  Resuming a study
 with *any* of them guessed instead of replayed silently produces a
 different front than the original run — the single most dangerous
-failure mode in the repo.
+failure mode in the repo.  The batch size is the population; the
+drivers persist and check it themselves.
 
 Before this module that identity was assembled, persisted, and
 resume-checked in three divergent copies (the CLI's metadata plumbing,
@@ -56,12 +57,6 @@ RESUME_REQUIRED_KEYS = (
     "policy", "aggregate",                       # objective identity
     "population", "seed", "n_trials",            # sampler identity
 )
-
-#: optional identity keys: absent means "feature off", but present keys
-#: must match exactly on resume (``batch`` is lenient when either side
-#: has not pinned a value yet — a direct runner call learns its batch
-#: size from the sampler, which the metadata round-trip preserves)
-RESUME_OPTIONAL_KEYS = ("batch", "ensemble", "racing", "fidelity", "pipeline")
 
 #: why each identity key is unchangeable mid-study — surfaced verbatim
 #: in every mismatch error, whichever driver raises it
@@ -175,7 +170,6 @@ class StudySpec:
     n_trials: int = 350
     population: int = 50
     seed: int = 42
-    batch: "int | None" = None
     ensemble: "str | None" = None
     racing: "str | None" = None
     fidelity: "str | None" = None
@@ -200,10 +194,8 @@ class StudySpec:
         for key in ("year", "n_hours", "n_trials", "population", "seed"):
             object.__setattr__(self, key, int(getattr(self, key)))
         object.__setattr__(self, "mean_power_mw", float(self.mean_power_mw))
-        for key in ("batch", "shards"):
-            value = getattr(self, key)
-            if value is not None:
-                object.__setattr__(self, key, int(value))
+        if self.shards is not None:
+            object.__setattr__(self, "shards", int(self.shards))
         if self.n_trials <= 0:
             raise OptimizationError("n_trials must be positive")
         if self.population <= 0:
@@ -278,8 +270,6 @@ class StudySpec:
         }
         if self.shards is not None and self.shards > 1:
             metadata["shards"] = self.shards
-        if self.batch is not None:
-            metadata["batch"] = self.batch
         for key in ("ensemble", "racing", "fidelity", "pipeline"):
             value = getattr(self, key)
             if value is not None:
@@ -311,8 +301,9 @@ class StudySpec:
         names the store in the error; ``trials_override`` waives the
         ``n_trials`` requirement (and takes its place), matching the
         CLI's ``study resume --trials``.  Keys it does not read are
-        ignored, so a store that carries the ``engine`` key older versions
-        persisted resumes as if it had none (that key was never identity).
+        ignored: a store that carries the ``engine`` key older versions
+        persisted resumes as if it had none (that key was never identity),
+        and the ``batch`` key the drivers persist is theirs to check.
         """
         required = [
             k
@@ -338,7 +329,6 @@ class StudySpec:
             n_trials=n_trials,
             population=metadata["population"],
             seed=metadata["seed"],
-            batch=metadata.get("batch"),
             ensemble=metadata.get("ensemble"),
             racing=metadata.get("racing"),
             fidelity=metadata.get("fidelity"),
@@ -370,13 +360,12 @@ class StudySpec:
             "racing": self.racing,
             "fidelity": self.fidelity,
             "pipeline": self.pipeline,
-            "batch": self.batch,
         }
         check_resume_identity(
             study_name or self.default_name,
             persisted,
             requested,
-            lenient=("batch", "sites"),
+            lenient=("sites",),
         )
 
     # -- derived views --------------------------------------------------------

@@ -40,7 +40,6 @@ from .policy import (
     TimeWindowPolicy,
     TouArbitragePolicy,
 )
-from .predictive import PredictiveChargeController
 from .stacked import StackedStorage
 from .scheduler import BatchJob, CarbonAwareBatchScheduler, FlexibleLoad
 from .signal import (
@@ -81,7 +80,6 @@ __all__ = [
     "SAMSignal",
     "Storage",
     "StackedStorage",
-    "PredictiveChargeController",
     "OutageInjector",
     "OutageWindow",
     "random_outage_schedule",

@@ -21,7 +21,6 @@ from .wind_resource import WindResource, synthesize_wind_resource
 from .workload import WorkloadTrace, synthesize_datacenter_trace
 from .carbon_intensity import CarbonIntensityProfile, synthesize_carbon_intensity
 from .tariffs import TouTariff, tou_tariff_for
-from .forecast import ForecastModel
 from .weather_events import WeatherEvent, dunkelflaute_events
 
 __all__ = [
@@ -39,7 +38,6 @@ __all__ = [
     "synthesize_carbon_intensity",
     "TouTariff",
     "tou_tariff_for",
-    "ForecastModel",
     "WeatherEvent",
     "dunkelflaute_events",
 ]

@@ -1,4 +1,4 @@
-"""Physical unit constants and conversion helpers.
+"""Physical unit constants.
 
 The whole library uses a consistent internal unit convention:
 
@@ -9,8 +9,9 @@ The whole library uses a consistent internal unit convention:
                  Electricity Maps and the paper
 * time         — seconds for durations, hours for resource time series
 
-Keeping conversions in one module avoids the classic "off by 1000" errors
-when mixing kW-scale renewable models with MW-scale data center loads.
+Keeping the scale factors in one module avoids the classic "off by 1000"
+errors when mixing kW-scale renewable models with MW-scale data center
+loads.
 """
 
 from __future__ import annotations
@@ -40,86 +41,6 @@ SECONDS_PER_DAY = 86_400.0
 HOURS_PER_DAY = 24.0
 HOURS_PER_YEAR = 8_760.0
 DAYS_PER_YEAR = 365.0
-
-# ---------------------------------------------------------------------------
-# Power / energy conversions
-# ---------------------------------------------------------------------------
-
-
-def mw_to_w(value_mw: float) -> float:
-    """Convert megawatts to watts."""
-    return value_mw * W_PER_MW
-
-
-def w_to_mw(value_w: float) -> float:
-    """Convert watts to megawatts."""
-    return value_w / W_PER_MW
-
-
-def kw_to_w(value_kw: float) -> float:
-    """Convert kilowatts to watts."""
-    return value_kw * W_PER_KW
-
-
-def w_to_kw(value_w: float) -> float:
-    """Convert watts to kilowatts."""
-    return value_w / W_PER_KW
-
-
-def mwh_to_wh(value_mwh: float) -> float:
-    """Convert megawatt-hours to watt-hours."""
-    return value_mwh * WH_PER_MWH
-
-
-def wh_to_mwh(value_wh: float) -> float:
-    """Convert watt-hours to megawatt-hours."""
-    return value_wh / WH_PER_MWH
-
-
-def kwh_to_wh(value_kwh: float) -> float:
-    """Convert kilowatt-hours to watt-hours."""
-    return value_kwh * WH_PER_KWH
-
-
-def wh_to_kwh(value_wh: float) -> float:
-    """Convert watt-hours to kilowatt-hours."""
-    return value_wh / WH_PER_KWH
-
-
-def power_to_energy_wh(power_w: float, duration_s: float) -> float:
-    """Integrate a constant power (W) over ``duration_s`` seconds → Wh."""
-    return power_w * duration_s / SECONDS_PER_HOUR
-
-
-def energy_to_power_w(energy_wh: float, duration_s: float) -> float:
-    """Average power (W) that delivers ``energy_wh`` over ``duration_s``."""
-    if duration_s <= 0:
-        raise ValueError(f"duration must be positive, got {duration_s}")
-    return energy_wh * SECONDS_PER_HOUR / duration_s
-
-
-# ---------------------------------------------------------------------------
-# Carbon conversions
-# ---------------------------------------------------------------------------
-
-
-def kg_to_tonnes(value_kg: float) -> float:
-    """Convert kilograms to metric tonnes."""
-    return value_kg / KG_PER_TONNE
-
-
-def tonnes_to_kg(value_t: float) -> float:
-    """Convert metric tonnes to kilograms."""
-    return value_t * KG_PER_TONNE
-
-
-def grid_emissions_kg(energy_wh: float, intensity_g_per_kwh: float) -> float:
-    """Operational emissions (kgCO2) of drawing ``energy_wh`` from a grid
-    whose average carbon intensity is ``intensity_g_per_kwh`` (gCO2/kWh).
-    """
-    kwh = energy_wh / WH_PER_KWH
-    return kwh * intensity_g_per_kwh / G_PER_KG
-
 
 # ---------------------------------------------------------------------------
 # Paper constants (Section 4, "Experiments")

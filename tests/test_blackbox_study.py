@@ -5,10 +5,8 @@ import pytest
 
 from repro.blackbox import (
     GridSampler,
-    MedianPruner,
     NSGA2Sampler,
     RandomSampler,
-    SuccessiveHalvingPruner,
     TPESampler,
     TrialState,
     create_study,
@@ -200,144 +198,3 @@ class TestTPE:
             TPESampler(gamma=1.5)
         with pytest.raises(OptimizationError):
             TPESampler(n_startup_trials=0)
-
-
-class TestMedianPruner:
-    def test_prunes_bad_intermediates(self):
-        pruner = MedianPruner(n_startup_trials=3)
-        study = create_study(direction="minimize", pruner=pruner,
-                             sampler=RandomSampler(seed=6))
-
-        executed_full = []
-
-        def objective(trial):
-            x = trial.suggest_float("x", 0.0, 1.0)
-            for step in range(5):
-                trial.report(x * (step + 1), step)
-                if trial.should_prune():
-                    raise TrialPruned()
-            executed_full.append(x)
-            return x
-
-        study.optimize(objective, n_trials=40)
-        pruned = [t for t in study.trials if t.state == TrialState.PRUNED]
-        assert pruned  # some got cut
-        # Survivors should be the better half on average.
-        assert np.mean(executed_full) < 0.6
-
-    def test_respects_maximize_direction(self):
-        """Regression: 'worse' must follow the first objective's direction —
-        in a maximize-first study the *below*-median reporter is pruned."""
-        pruner = MedianPruner(n_startup_trials=2, n_warmup_steps=0)
-        study = create_study(direction="maximize", pruner=pruner)
-        for value in (10.0, 20.0):
-            trial = study.ask()
-            trial.suggest_float("x", 0.0, 100.0)
-            trial.report(value, step=0)
-            study.tell(trial, value)
-
-        below = study.ask()
-        below.report(5.0, step=0)
-        assert below.should_prune()
-
-        above = study.ask()
-        above.report(30.0, step=0)
-        assert not above.should_prune()
-
-    def test_never_prunes_before_warmup(self):
-        pruner = MedianPruner(n_startup_trials=0, n_warmup_steps=3)
-        study = create_study(direction="minimize", pruner=pruner)
-        for value in (1.0, 2.0):
-            trial = study.ask()
-            trial.suggest_float("x", 0.0, 100.0)
-            trial.report(value, step=2)
-            trial.report(value, step=3)
-            study.tell(trial, value)
-        trial = study.ask()
-        trial.report(1e9, step=2)  # terrible, but still inside warmup
-        assert not trial.should_prune()
-        trial.report(1e9, step=3)  # first step at/after warmup prunes
-        assert trial.should_prune()
-
-    def test_pruned_peers_inform_the_median(self):
-        pruner = MedianPruner(n_startup_trials=1, n_warmup_steps=0)
-        study = create_study(direction="minimize", pruner=pruner)
-        trial = study.ask()
-        trial.suggest_float("x", 0.0, 100.0)
-        trial.report(1.0, step=0)
-        study.tell(trial, 1.0)
-        # a pruned peer's report joins the pool
-        pruned = study.ask()
-        pruned.report(100.0, step=0)
-        study.tell(pruned, state=TrialState.PRUNED)
-        probe = study.ask()
-        probe.report(50.0, step=0)  # median(1, 100) = 50.5 → not worse
-        assert not probe.should_prune()
-        probe.report(60.0, step=0)
-        assert probe.should_prune()
-
-
-class TestSuccessiveHalvingPruner:
-    def _study(self, direction="minimize"):
-        return create_study(
-            direction=direction,
-            pruner=SuccessiveHalvingPruner(min_resource=1, reduction_factor=2),
-        )
-
-    def _report_finished(self, study, values, step):
-        for value in values:
-            trial = study.ask()
-            trial.suggest_float("x", 0.0, 100.0)
-            trial.report(value, step=step)
-            study.tell(trial, value)
-
-    def test_keeps_best_fraction_at_a_rung(self):
-        study = self._study()
-        self._report_finished(study, [1.0, 2.0, 3.0, 4.0], step=2)
-        good = study.ask()
-        good.report(1.5, step=2)  # within the best half of 5 reporters
-        assert not good.should_prune()
-        bad = study.ask()
-        bad.report(5.0, step=2)
-        assert bad.should_prune()
-
-    def test_respects_maximize_direction(self):
-        study = self._study(direction="maximize")
-        self._report_finished(study, [1.0, 2.0, 3.0, 4.0], step=2)
-        good = study.ask()
-        good.report(5.0, step=2)
-        assert not good.should_prune()
-        bad = study.ask()
-        bad.report(0.5, step=2)
-        assert bad.should_prune()
-
-    def test_never_prunes_before_warmup(self):
-        pruner = SuccessiveHalvingPruner(
-            min_resource=1, reduction_factor=2, n_warmup_steps=4
-        )
-        study = create_study(direction="minimize", pruner=pruner)
-        self._report_finished(study, [1.0, 2.0, 3.0], step=2)
-        trial = study.ask()
-        trial.report(1e9, step=2)  # rung boundary, but inside warmup
-        assert not trial.should_prune()
-
-    def test_only_prunes_at_rung_boundaries(self):
-        study = self._study()
-        self._report_finished(study, [1.0, 2.0, 3.0], step=3)
-        trial = study.ask()
-        trial.report(1e9, step=3)  # 3 is not 1·2^k
-        assert not trial.should_prune()
-
-    def test_needs_a_cohort(self):
-        study = self._study()
-        trial = study.ask()
-        trial.report(1e9, step=2)  # alone at the rung: nothing to halve
-        assert not trial.should_prune()
-
-    def test_validates_parameters(self):
-        with pytest.raises(OptimizationError):
-            SuccessiveHalvingPruner(min_resource=0)
-        with pytest.raises(OptimizationError):
-            SuccessiveHalvingPruner(reduction_factor=1)
-        with pytest.raises(OptimizationError):
-            SuccessiveHalvingPruner(n_warmup_steps=-1)

@@ -1,6 +1,5 @@
-"""Dataset persistence and the paper-reference scorecard."""
+"""The paper-reference tables and scorecard."""
 
-import numpy as np
 import pytest
 
 from repro.analysis.paper_refs import (
@@ -13,61 +12,6 @@ from repro.analysis.paper_refs import (
 )
 from repro.core.fastsim import BatchEvaluator
 from repro.core.parameterspace import PAPER_SPACE
-from repro.data import (
-    HOUSTON,
-    synthesize_carbon_intensity,
-    synthesize_datacenter_trace,
-    synthesize_solar_resource,
-    synthesize_wind_resource,
-)
-from repro.data.datasets import (
-    load_carbon_profile,
-    load_solar_resource,
-    load_wind_resource,
-    load_workload,
-    save_carbon_profile,
-    save_solar_resource,
-    save_wind_resource,
-    save_workload,
-)
-from repro.exceptions import DataError
-
-
-class TestDatasets:
-    def test_solar_roundtrip(self, tmp_path):
-        original = synthesize_solar_resource(HOUSTON, n_hours=24 * 7)
-        path = save_solar_resource(original, tmp_path / "solar.npz")
-        loaded = load_solar_resource(path)
-        assert loaded.location is HOUSTON
-        assert np.array_equal(loaded.ghi_w_m2, original.ghi_w_m2)
-        assert np.array_equal(loaded.ambient_temperature_c, original.ambient_temperature_c)
-
-    def test_wind_roundtrip(self, tmp_path):
-        original = synthesize_wind_resource(HOUSTON, n_hours=24 * 7)
-        loaded = load_wind_resource(save_wind_resource(original, tmp_path / "wind.npz"))
-        assert np.array_equal(loaded.speed_ms, original.speed_ms)
-        assert loaded.reference_height_m == original.reference_height_m
-
-    def test_workload_roundtrip(self, tmp_path):
-        original = synthesize_datacenter_trace(n_hours=24 * 7)
-        loaded = load_workload(save_workload(original, tmp_path / "load.npz"))
-        assert np.array_equal(loaded.power_w, original.power_w)
-        assert loaded.name == original.name
-
-    def test_carbon_roundtrip(self, tmp_path):
-        original = synthesize_carbon_intensity("ERCOT", n_hours=24 * 7)
-        loaded = load_carbon_profile(save_carbon_profile(original, tmp_path / "ci.npz"))
-        assert np.array_equal(loaded.intensity_g_per_kwh, original.intensity_g_per_kwh)
-        assert loaded.region == "ERCOT"
-
-    def test_kind_mismatch_rejected(self, tmp_path):
-        path = save_workload(synthesize_datacenter_trace(n_hours=24), tmp_path / "x.npz")
-        with pytest.raises(DataError):
-            load_solar_resource(path)
-
-    def test_missing_file(self, tmp_path):
-        with pytest.raises(DataError):
-            load_workload(tmp_path / "ghost.npz")
 
 
 class TestPaperReferences:

@@ -117,6 +117,23 @@ def test_every_document_mention_resolves():
     assert not missing, f"docstrings reference missing documents: {missing}"
 
 
+PACKAGES = sorted(
+    ".".join(p.parent.relative_to(SRC).parts)
+    for p in (SRC / "repro").rglob("__init__.py")
+)
+
+
+@pytest.mark.parametrize("package", PACKAGES)
+def test_every_exported_name_resolves(package):
+    """Every name in a package's ``__all__`` exists: deleting an object
+    must take its export with it."""
+    module = importlib.import_module(package)
+    exported = getattr(module, "__all__", ())
+    dangling = [name for name in exported if not hasattr(module, name)]
+    assert not dangling, f"{package}.__all__ names missing objects: {dangling}"
+    assert len(set(exported)) == len(exported), f"{package}.__all__ repeats a name"
+
+
 @pytest.mark.parametrize("doc", DOCUMENTS)
 def test_markdown_links_resolve(doc):
     path = REPO / doc
@@ -223,10 +240,9 @@ class TestCIConsistency:
 
 
 def test_every_intree_sampler_implements_native_ask_tell():
-    """DESIGN.md §10 documents all samplers as native ask/tell citizens;
-    the legacy ``sample()`` shim (with its DeprecationWarning) exists
-    only for out-of-tree subclasses.  Catch any in-tree sampler that
-    silently falls back to the shim."""
+    """DESIGN.md §10 documents all samplers as native ask/tell citizens:
+    ``Sampler.ask`` is abstract, so every exported sampler must be
+    concrete."""
     from repro.blackbox import samplers
     from repro.blackbox.samplers.base import Sampler
 
@@ -237,7 +253,6 @@ def test_every_intree_sampler_implements_native_ask_tell():
     ]
     assert len(in_tree) >= 5
     for cls in in_tree:
-        assert cls.ask is not Sampler.ask, (
-            f"{cls.__name__} inherits the deprecated sample() shim "
-            "instead of implementing ask() natively"
+        assert not cls.__abstractmethods__, (
+            f"{cls.__name__} leaves {sorted(cls.__abstractmethods__)} abstract"
         )

@@ -216,7 +216,8 @@ class TestStackedEnsembleEvaluation:
                 )
                 assert outcomes[i].coverage_by_year[j] == e.metrics.coverage
 
-    def test_cvar_shim_delegates_to_metrics(self):
+    def test_cvar_over_years(self):
+        """A year ensemble's CVaR is the metrics reducer over its year axis."""
         from repro.core.metrics import aggregate_values
         from repro.core.multiyear import MultiYearOutcome
 
@@ -226,11 +227,11 @@ class TestStackedEnsembleEvaluation:
             operational_tco2_day_by_year=np.array([4.0, 1.0, 3.0, 2.0]),
             coverage_by_year=np.zeros(4),
         )
-        assert outcome.cvar_operational(0.5) == aggregate_values(
-            [4.0, 1.0, 3.0, 2.0], "cvar:0.5"
-        )
+        years = outcome.operational_tco2_day_by_year
+        assert aggregate_values(years, "cvar:0.5") == 3.5
+        assert aggregate_values(years, "cvar:1.0") == outcome.operational_mean
         with pytest.raises(ConfigurationError):
-            outcome.cvar_operational(alpha=0.0)
+            aggregate_values(years, "cvar:0.0")
 
     def test_runner_rejects_malformed_aggregate_early(self, houston_month):
         from repro.core.study_runner import OptimizationRunner

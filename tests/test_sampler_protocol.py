@@ -9,8 +9,6 @@ planned up front, for the streaming drivers).  The contract: for a fixed
 dispatcher interchange with the define-by-run loop bit-for-bit.
 """
 
-import warnings
-
 import pytest
 
 from repro.blackbox import (
@@ -107,9 +105,7 @@ def _run_ask_tell(kind: str, n_trials: int) -> list:
     space = GRID_DIST_SPACE if kind == "grid" else SPACE
     for _ in range(n_trials):
         trial = study.ask()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            params = study.sampler.ask(study, trial.number, space)
+        params = study.sampler.ask(study, trial.number, space)
         materialize_params(trial, params, space)
         vals = _values(params)
         study.tell(trial, vals[: len(study.directions)])
@@ -123,48 +119,19 @@ class TestAskTellEquivalence:
         n = 18  # three NSGA-II generations: startup AND bred trials
         assert _run_ask_tell(kind, n) == _run_define_by_run(kind, n)
 
-    @pytest.mark.parametrize("kind", sorted(SAMPLERS))
-    def test_native_ask_emits_no_deprecation_warning(self, kind):
-        """In-tree samplers override ask(); the shim's warning never fires."""
-        _run_ask_tell(kind, 4)  # simplefilter("error") inside would raise
 
-
-class _LegacyOnlySampler(Sampler):
-    """A sample()-era subclass that never heard of ask/tell."""
+class _SampleOnlySampler(Sampler):
+    """A subclass that implements define-by-run ``sample()`` only."""
 
     def sample(self, study, trial, name, distribution):
         return distribution.sample(self.rng)
 
 
-class TestLegacyShim:
-    def test_legacy_sampler_still_asks_with_deprecation_warning(self):
-        sampler = _LegacyOnlySampler(seed=9)
-        study = Study(directions=["minimize"], sampler=sampler)
-        with pytest.warns(DeprecationWarning, match="legacy"):
-            params = sampler.ask(study, 0, SPACE)
-        assert set(params) == set(SPACE)
-        for name, dist in SPACE.items():
-            assert dist.contains(params[name])
-
-    def test_shim_matches_define_by_run_draws(self):
-        """The shim replays the historical loop: same RNG consumption."""
-        a = _LegacyOnlySampler(seed=9)
-        a.per_trial_seeding = True
-        study_a = Study(directions=["minimize"], sampler=a)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            asked = a.ask(study_a, 0, SPACE)
-
-        b = _LegacyOnlySampler(seed=9)
-        b.per_trial_seeding = True
-        study_b = Study(directions=["minimize"], sampler=b)
-        trial = study_b.ask()
-        suggested = {
-            "x": trial.suggest_float("x", -2.0, 2.0),
-            "k": trial.suggest_int("k", 0, 5),
-            "mode": trial.suggest_categorical("mode", ("a", "b", "c")),
-        }
-        assert asked == suggested
+def test_ask_is_abstract():
+    """A sampler must plan whole candidates itself: ``ask`` has no
+    ``sample()``-replay default, so a sample-only subclass cannot exist."""
+    with pytest.raises(TypeError, match="ask"):
+        _SampleOnlySampler(seed=9)
 
 
 class _RecordingSampler(RandomSampler):

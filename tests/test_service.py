@@ -129,6 +129,10 @@ class TestServiceVerbs:
             {"n_trials": MAX_TRIALS + 1},
             {"speculate": {}},
             {"engine": "loop"},  # an unknown key: the engine field is gone
+            # unknown keys too: the batch is the population
+            {"batch": 5},
+            {"batch": 0},
+            {"batch": -3},
         ],
     )
     def test_spec_from_document_rejects_bad_values_as_service_errors(self, document):
@@ -258,7 +262,8 @@ class TestHttpApi:
     @pytest.mark.parametrize(
         "document",
         [{"n_trials": -5}, {"population": 0}, {"sites": 123}, {"n_trials": 10**12},
-         {"engine": "loop"}],  # an unknown key: the engine field is gone
+         # unknown keys: the engine field is gone, the batch is the population
+         {"engine": "loop"}, {"batch": 5}, {"batch": 0}, {"batch": -3}],
     )
     def test_bad_spec_values_are_400(self, http_service, document):
         _, base = http_service

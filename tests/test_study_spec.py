@@ -80,6 +80,13 @@ class TestRoundTrip:
             StudySpec(aggregate="cvar:nope")
 
 
+    @pytest.mark.parametrize("batch", [5, 0, -3])
+    def test_batch_is_not_a_spec_field(self, batch):
+        """The batch is the population: a spec cannot name another one."""
+        with pytest.raises(TypeError, match="batch"):
+            StudySpec(population=10, batch=batch)
+
+
 class TestFromMetadata:
     def test_missing_keys_are_all_named(self):
         with pytest.raises(OptimizationError) as err:
@@ -275,6 +282,9 @@ class TestOldCliPathResumesThroughSpec:
 
         storage = storage_from_url(killed)
         stored = storage.load_study("houston-blackbox")
+        # The driver persists the population as ``batch``; from_metadata
+        # leaves that key to the driver, which checks it on resume.
+        assert stored.metadata["batch"] == 10
         spec = StudySpec.from_metadata(stored.metadata, trials_override=30)
         spec.validate_resume(stored.metadata)
         spec.execute(storage, "houston-blackbox", load_if_exists=True)

@@ -1,49 +1,8 @@
-"""Unit-conversion invariants (repro.units)."""
+"""The paper constants in repro.units."""
 
 import pytest
 
 from repro import units
-
-
-class TestPowerEnergy:
-    def test_mw_w_roundtrip(self):
-        assert units.w_to_mw(units.mw_to_w(3.7)) == pytest.approx(3.7)
-
-    def test_kw_w_roundtrip(self):
-        assert units.w_to_kw(units.kw_to_w(0.25)) == pytest.approx(0.25)
-
-    def test_mwh_wh_roundtrip(self):
-        assert units.wh_to_mwh(units.mwh_to_wh(7.5)) == pytest.approx(7.5)
-
-    def test_kwh_wh_roundtrip(self):
-        assert units.wh_to_kwh(units.kwh_to_wh(12.0)) == pytest.approx(12.0)
-
-    def test_power_to_energy_one_hour(self):
-        # 1 MW for one hour is 1 MWh.
-        assert units.power_to_energy_wh(1e6, 3600.0) == pytest.approx(1e6)
-
-    def test_power_to_energy_half_hour(self):
-        assert units.power_to_energy_wh(1e6, 1800.0) == pytest.approx(5e5)
-
-    def test_energy_to_power_inverse(self):
-        e = units.power_to_energy_wh(123_456.0, 7200.0)
-        assert units.energy_to_power_w(e, 7200.0) == pytest.approx(123_456.0)
-
-    def test_energy_to_power_rejects_zero_duration(self):
-        with pytest.raises(ValueError):
-            units.energy_to_power_w(100.0, 0.0)
-
-
-class TestCarbon:
-    def test_kg_tonne_roundtrip(self):
-        assert units.tonnes_to_kg(units.kg_to_tonnes(987.0)) == pytest.approx(987.0)
-
-    def test_grid_emissions_simple(self):
-        # 1 MWh at 400 g/kWh = 400 kg.
-        assert units.grid_emissions_kg(1e6, 400.0) == pytest.approx(400.0)
-
-    def test_grid_emissions_zero_intensity(self):
-        assert units.grid_emissions_kg(1e6, 0.0) == 0.0
 
 
 class TestPaperConstants:
