@@ -198,3 +198,124 @@ class TestTPE:
             TPESampler(gamma=1.5)
         with pytest.raises(OptimizationError):
             TPESampler(n_startup_trials=0)
+
+
+class TestReportAndPrune:
+    """Intermediate reports and pruning: ``Trial.report`` records a
+    partial value per step, ``Trial.prune`` abandons the trial, and the
+    study keeps a pruned trial's params and reports (racing relies on
+    both, DESIGN.md §8)."""
+
+    def test_report_records_one_value_per_step(self):
+        study = create_study(direction="minimize")
+        trial = study.ask()
+        trial.report(3, step=0)
+        trial.report(2.5, step=4)
+        trial.report(1.5, step=4)  # a re-report of a step replaces it
+        frozen = study.trials[trial.number]
+        assert frozen.intermediate == {0: 3.0, 4: 1.5}
+        assert all(type(v) is float for v in frozen.intermediate.values())
+
+    def test_report_rejects_a_negative_step(self):
+        study = create_study(direction="minimize")
+        trial = study.ask()
+        with pytest.raises(OptimizationError, match="step"):
+            trial.report(1.0, step=-1)
+        assert study.trials[trial.number].intermediate == {}
+
+    def test_prune_raises_trial_pruned(self):
+        study = create_study(direction="minimize")
+        trial = study.ask()
+        with pytest.raises(TrialPruned, match=f"trial {trial.number}"):
+            trial.prune()
+        assert study.trials[trial.number].state == TrialState.RUNNING
+
+    def test_optimize_keeps_a_pruned_trials_params_and_reports(self):
+        study = create_study(direction="minimize", sampler=RandomSampler(seed=6))
+
+        def objective(trial):
+            x = trial.suggest_float("x", 0.0, 1.0)
+            for step in range(3):
+                trial.report(x * (step + 1), step)
+            if trial.number % 2:
+                trial.prune()
+            return x
+
+        study.optimize(objective, n_trials=6)
+        pruned = [t for t in study.trials if t.state == TrialState.PRUNED]
+        assert [t.number for t in pruned] == [1, 3, 5]
+        for t in pruned:
+            assert t.values is None
+            x = t.params["x"]
+            assert t.intermediate == {0: x, 1: 2 * x, 2: 3 * x}
+
+    def test_tell_pruned_ignores_values(self):
+        study = create_study(direction="minimize")
+        trial = study.ask()
+        frozen = study.tell(trial, 1.0, state=TrialState.PRUNED)
+        assert frozen.state == TrialState.PRUNED
+        assert frozen.values is None
+        with pytest.raises(OptimizationError, match="already finished"):
+            study.tell(trial, 1.0)
+
+    def test_callbacks_see_pruned_trials(self):
+        study = create_study(direction="minimize", sampler=RandomSampler(seed=7))
+        seen = []
+
+        def objective(trial):
+            trial.suggest_float("x", 0.0, 1.0)
+            if trial.number == 1:
+                trial.prune()
+            return 1.0
+
+        study.optimize(
+            objective, n_trials=3,
+            callbacks=[lambda s, t: seen.append((t.number, t.state))],
+        )
+        assert seen == [
+            (0, TrialState.COMPLETE),
+            (1, TrialState.PRUNED),
+            (2, TrialState.COMPLETE),
+        ]
+
+    def test_pruned_trials_stay_off_the_pareto_front(self):
+        study = create_study(directions=["minimize", "minimize"])
+        pruned = study.ask()
+        pruned.report(-100.0, step=0)  # would dominate, but never finished
+        study.tell(pruned, state=TrialState.PRUNED)
+        done = study.ask()
+        study.tell(done, (1.0, 1.0))
+        assert [t.number for t in study.best_trials] == [done.number]
+
+    def test_only_pruned_trials_leave_no_best_trial(self):
+        study = create_study(direction="minimize")
+        study.tell(study.ask(), state=TrialState.PRUNED)
+        with pytest.raises(OptimizationError, match="no completed trials"):
+            _ = study.best_trial
+
+    def test_objective_side_median_rule(self):
+        """An early-stopping rule needs no pruner object: the objective
+        reads its peers' reports from ``study.trials`` and prunes
+        itself when it trails their median."""
+        study = create_study(direction="minimize", sampler=RandomSampler(seed=6))
+        executed_full = []
+
+        def objective(trial):
+            x = trial.suggest_float("x", 0.0, 1.0)
+            for step in range(5):
+                value = x * (step + 1)
+                trial.report(value, step)
+                peers = [
+                    t.intermediate[step] for t in study.completed_trials()
+                    if step in t.intermediate
+                ]
+                if len(peers) >= 3 and value > np.median(peers):
+                    trial.prune()
+            executed_full.append(x)
+            return x
+
+        study.optimize(objective, n_trials=40)
+        pruned = [t for t in study.trials if t.state == TrialState.PRUNED]
+        assert pruned
+        assert all(t.params["x"] not in executed_full for t in pruned)
+        assert np.mean(executed_full) < 0.6

@@ -61,6 +61,19 @@ class TestMultiYear:
         cvar = aggregate_values(o.operational_tco2_day_by_year, "cvar:1.0")
         assert cvar == pytest.approx(o.operational_mean)
 
+    def test_cvar_small_alpha_is_worst_year(self, outcomes):
+        """With three years, any alpha up to 1/3 keeps only the worst one."""
+        for o in outcomes:
+            years = o.operational_tco2_day_by_year
+            for alpha in (0.05, 0.2, 1.0 / 3.0):
+                assert aggregate_values(years, f"cvar:{alpha}") == o.operational_worst
+
+    def test_cvar_grows_as_alpha_shrinks(self, outcomes):
+        years = outcomes[1].operational_tco2_day_by_year
+        cvars = [aggregate_values(years, f"cvar:{a}") for a in (1.0, 0.67, 0.34)]
+        assert cvars == sorted(cvars)
+        assert cvars[-1] == pytest.approx(np.sort(years)[-2:].mean())
+
     def test_robust_ranking_order(self, outcomes):
         scores = [
             aggregate_values(o.operational_tco2_day_by_year, "cvar:0.25")

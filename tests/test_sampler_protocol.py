@@ -9,6 +9,8 @@ planned up front, for the streaming drivers).  The contract: for a fixed
 dispatcher interchange with the define-by-run loop bit-for-bit.
 """
 
+import warnings
+
 import pytest
 
 from repro.blackbox import (
@@ -118,6 +120,14 @@ class TestAskTellEquivalence:
         """The protocol contract: same seed + history → same params."""
         n = 18  # three NSGA-II generations: startup AND bred trials
         assert _run_ask_tell(kind, n) == _run_define_by_run(kind, n)
+
+    @pytest.mark.parametrize("kind", sorted(SAMPLERS))
+    def test_native_ask_emits_no_deprecation_warning(self, kind):
+        """Every in-tree sampler plans candidates through its own ``ask``:
+        the ask/tell loop runs clean with warnings raised as errors."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _run_ask_tell(kind, 8)
 
 
 class _SampleOnlySampler(Sampler):

@@ -37,7 +37,7 @@ from repro.blackbox.storage import (
     resolve_storage,
     shard_spec,
 )
-from repro.blackbox.trial import FrozenTrial
+from repro.blackbox.trial import RACING_RUNG_ATTR, FrozenTrial
 from repro.core.parameterspace import ParameterSpace
 from repro.core.study_runner import OptimizationRunner
 from repro.exceptions import OptimizationError
@@ -143,6 +143,54 @@ class TestContract:
         stored = substrate.open().load_study("s")
         assert stored.trials_by_number[3].state == TrialState.RUNNING
         assert stored.finished_trials() == []
+
+    def test_pruned_trial_keeps_params_and_reports(self, substrate):
+        # Racing's pruned trials carry their per-rung partial values as
+        # intermediate reports; every backend must hand them back.
+        study = create_study(
+            storage=substrate.open(), study_name="s", sampler=RandomSampler(seed=5)
+        )
+
+        def reporting(trial):
+            x = trial.suggest_float("x", -1.0, 1.0)
+            trial.report(x, step=0)
+            trial.report(2.0 * x, step=3)
+            if trial.number == 1:
+                trial.prune()
+            return x * x
+
+        study.optimize(reporting, n_trials=3)
+        stored = substrate.open().load_study("s")
+        assert [t.state for t in stored.trials] == [
+            TrialState.COMPLETE, TrialState.PRUNED, TrialState.COMPLETE
+        ]
+        for live, loaded in zip(study.trials, stored.trials):
+            assert loaded.params == live.params
+            assert loaded.intermediate == live.intermediate
+            assert set(loaded.intermediate) == {0, 3}
+        assert stored.trials[1].values is None
+
+    def test_attrs_and_failed_state_round_trip(self, substrate):
+        study = create_study(
+            storage=substrate.open(), study_name="s", sampler=RandomSampler(seed=6)
+        )
+
+        def tagged(trial):
+            trial.suggest_int("k", 0, 5)
+            trial.set_user_attr("tag", ["a", 1])
+            trial.set_system_attr(RACING_RUNG_ATTR, 2)
+            if trial.number == 0:
+                raise ValueError("boom")
+            return 1.0
+
+        study.optimize(tagged, n_trials=2, catch=(ValueError,))
+        stored = substrate.open().load_study("s")
+        assert [t.state for t in stored.trials] == [
+            TrialState.FAILED, TrialState.COMPLETE
+        ]
+        for loaded in stored.trials:
+            assert loaded.user_attrs == {"tag": ["a", 1]}
+            assert loaded.system_attrs[RACING_RUNG_ATTR] == 2
 
     def test_loaded_trials_do_not_alias(self, substrate):
         storage = substrate.open()
