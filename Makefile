@@ -24,7 +24,7 @@ bench:
 # does.
 ci:
 	PYTHONPATH=src python -m pytest -x -q
-	PYTHONPATH=src python -m pytest -q tests/test_driver_contract.py tests/test_pipeline.py tests/test_sampler_protocol.py
+	PYTHONPATH=src python -m pytest -q tests/test_driver_contract.py tests/test_pipeline.py tests/test_racing.py tests/test_sampler_protocol.py
 	PYTHONPATH=src python -m pytest -q tests/test_fidelity_differential.py
 	PYTHONPATH=src python -m pytest -q tests/test_study_spec.py tests/test_service.py
 	PYTHONPATH=src python -m pytest -q tests/test_lease.py tests/test_remote_worker.py

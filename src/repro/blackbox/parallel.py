@@ -5,8 +5,10 @@ nodes" through Hydra; the co-simulated sweep it replaces took >24 h
 serially.  :class:`PipelinedDispatcher` is the one parallel driver
 (DESIGN.md §4, §10): a coordinator that keeps **all sampling in the
 parent process** and hands each worker slot one candidate (or one
-racing rung slice) at a time, on a thread pool, a spawn process pool,
-inline, or a remote lease queue (DESIGN.md §13).  The in-process
+candidate's racing rung slice) at a time, on a thread pool, a spawn
+process pool, inline, or a remote lease queue (DESIGN.md §13).  Raced
+generations run the race core of :mod:`repro.core.racing`, the one the
+batched driver runs, so both prune the same trials.  The in-process
 batched path — one vectorized call per generation — is
 :meth:`repro.core.study_runner.OptimizationRunner.run_blackbox`; at
 speculation depth 0 the dispatcher breeds the identical trial sequence.
@@ -59,9 +61,8 @@ import numpy as np
 
 from ..exceptions import OptimizationError, TrialPruned
 from .distributions import Distribution
-from .multiobjective import pareto_front_indices
 from .study import Study
-from .trial import PARENT_EPOCH_ATTR, PIPELINE_ASK_ATTR, RACING_RUNG_ATTR, TrialState
+from .trial import PARENT_EPOCH_ATTR, PIPELINE_ASK_ATTR, TrialState
 
 ParamsObjective = Callable[[dict[str, Any]], "float | Sequence[float]"]
 
@@ -238,36 +239,28 @@ class PipelineStats:
 
 
 @dataclass
-class _Cohort:
-    """Racing bookkeeping for one generation's rung climb."""
+class _Race:
+    """One generation racing through the shared core (DESIGN.md §8)."""
 
-    generation: int
-    expected: int
+    first: int  # number of the generation's first trial
+    expected: int  # trials the generation asks
     trials: list = field(default_factory=list)
-    #: trials still climbing; ``None`` until the cohort is fully asked
-    alive: "list | None" = None
-    rung: int = 0
-    new_members: tuple[int, ...] = ()
-    seen: tuple[int, ...] = ()
-    results: dict = field(default_factory=dict)
-    matrices: dict = field(default_factory=dict)
-
-    def climbing(self) -> "list":
-        return self.alive if self.alive is not None else self.trials
-
-    def ready_to_decide(self) -> bool:
-        if self.alive is None and len(self.trials) < self.expected:
-            return False
-        return all(t.number in self.results for t in self.climbing())
+    keys: list = field(default_factory=list)  # each trial's params key
+    steps: Any = None  # the race_steps core, once started
+    request: tuple = ((), ())  # the (members, keys) the core waits on
+    step: int = 0  # request counter; -1 once told (every item is stale)
+    results: dict = field(default_factory=dict)  # key -> (tag, payload)
 
 
 @dataclass
 class _Item:
-    """One in-flight work item: a whole trial, or one rung slice of it."""
+    """One in-flight work item: a whole trial, or one candidate's rung slice."""
 
     kind: str  # "trial" | "rung"
-    trial: Any
-    cohort: "_Cohort | None" = None
+    trial: Any = None
+    race: "_Race | None" = None
+    key: tuple = ()  # the candidate's sorted params items
+    step: int = 0
 
 
 class PipelinedDispatcher:
@@ -295,14 +288,13 @@ class PipelinedDispatcher:
     those of the generation-batched
     :meth:`~repro.core.study_runner.OptimizationRunner.run_blackbox`.
 
-    **Racing integration**: rung climbs become just more work items in
-    the same queue.  Decisions stay at generation-cohort × rung
-    granularity (Optuna-style: a candidate off the cohort's
-    non-dominated partial front is pruned), but each (trial,
-    rung-slice) evaluation is its own queue item — so a rung-2
-    evaluation of one trial overlaps the full-fidelity climb of
-    another, and with speculation the next generation's rung-0 items
-    backfill slots during the climb.
+    **Racing integration**: a raced generation runs the one race core,
+    :func:`repro.core.racing.race_steps` — the rung loop, promotion rule
+    and promote-back proof of ``run_blackbox``'s racer — and every slice
+    it asks for becomes one work item per candidate in the same queue.
+    A trial's first-rung item is submitted when it is asked, so with
+    speculation the next generation's items backfill slots while a
+    climb runs.
 
     ``space`` is the declared ``{name: Distribution}`` search space
     (parameters are planned before the objective runs).  ``executor`` is
@@ -361,6 +353,8 @@ class PipelinedDispatcher:
         self.speculate = int(speculate)
         #: utilization accounting of the most recent ``optimize`` call
         self.stats = PipelineStats(workers=self.workers)
+        #: racing work accounting of the most recent raced ``optimize``
+        self.racing_stats = None
         if storage is not None:
             self._attach_storage(storage, shards)
 
@@ -455,7 +449,7 @@ class PipelinedDispatcher:
         the kept prefix is, by construction, a prefix an uninterrupted
         run produced, so the resumed front is identical.  Under racing
         the cut additionally aligns to a generation boundary, because
-        prune decisions are cohort-wide.
+        a race spans its whole generation.
         """
         keep = 0
         for trial in self.study.trials:
@@ -492,22 +486,14 @@ class PipelinedDispatcher:
         Resume alignment is per-trial (epoch tags), not per-generation —
         only trials whose persisted tags fail the epoch audit are re-run.
 
-        **Racing rung dispatch** (DESIGN.md §8): with ``racing`` set to
-        a :class:`~repro.core.racing.RungSchedule` (or spec string), the
-        objective must expose the multi-fidelity hooks ``n_members``,
-        ``aggregate``, and ``member_values(params, member_indices)`` (as
-        :class:`repro.core.study_runner.CompositionObjective` does; the
-        default ``order=hardest`` additionally needs
-        ``member_difficulty``).  Each rung evaluates only the members
-        *new* to it (subsets nest, so nothing is re-simulated), the
-        parent reduces each trial's accumulated member vectors with the
-        objective's aggregate in canonical member order — so survivors'
-        values are bit-identical to the full-fidelity objective — and
-        candidates off the cohort's non-dominated partial front are told
-        PRUNED with their partial values as intermediate reports.
-        Unlike ``run_blackbox``'s racer this carries no promote-back
-        exactness proof: it is Optuna-style pruning, tuned for
-        throughput.
+        **Racing** (DESIGN.md §8): with ``racing`` set to a
+        :class:`~repro.core.racing.RungSchedule` (or spec string), the
+        objective must expose ``n_members``, ``aggregate`` and
+        ``member_values(params, member_indices)`` (plus
+        ``member_difficulty`` for ``order=hardest``), as
+        :class:`repro.core.study_runner.CompositionObjective` does.  Each
+        generation races through ``run_blackbox``'s race core, keyed by
+        params, and its work lands in :attr:`racing_stats`.
 
         ``fidelity`` persists/validates the model-fidelity ladder as
         resume identity (the objective already evaluates the ladder-top
@@ -517,10 +503,10 @@ class PipelinedDispatcher:
             raise OptimizationError(f"n_trials must be positive, got {n_trials}")
         subsets = None
         if racing is not None:
-            from ..core.racing import RungSchedule, resolve_rung_subsets
+            from ..core.racing import RungSchedule
 
             racing = RungSchedule.parse(racing)
-            subsets = resolve_rung_subsets(objective, racing)
+            subsets = self._prepare_race(objective, racing)
         if fidelity is not None:
             from ..core.fidelity import FidelityLadder
 
@@ -562,7 +548,6 @@ class PipelinedDispatcher:
 
     def _run(self, pool, objective, n_trials, catch, subsets) -> None:
         study = self.study
-        self._objective = objective
         in_process = not isinstance(pool, ProcessPoolExecutor)
         # A pool with its own submit_trial/submit_rung is the remote seam:
         # items carry only params (the worker holds the objective), and the
@@ -583,8 +568,10 @@ class PipelinedDispatcher:
                 return pool.submit(_guarded, objective.member_values, params, members)
             return pool.submit(_pipeline_eval_members, params, members)
 
-        pending: "dict[Future, _Item]" = {}
-        cohorts: "dict[int, _Cohort]" = {}
+        self._pending = pending = {}
+        self._submit_rung = submit_rung
+        self._catch = catch
+        self._races: "dict[int, _Race]" = {}
         self.stats = stats = PipelineStats(workers=self.workers)
         wall_start = time.perf_counter()
         # Reloaded trials are all finished (RUNNING ones were discarded
@@ -602,10 +589,8 @@ class PipelinedDispatcher:
                 if subsets is None:
                     pending[submit_trial(dict(trial.params))] = _Item("trial", trial)
                 else:
-                    cohort = self._enroll(cohorts, trial, n_trials, subsets)
-                    pending[submit_rung(dict(trial.params), cohort.new_members)] = (
-                        _Item("rung", trial, cohort)
-                    )
+                    self._enroll(trial, n_trials)
+                    self._start_races()
                 next_ask += 1
             if not pending:
                 if next_ask >= n_trials:
@@ -623,12 +608,12 @@ class PipelinedDispatcher:
                     stats.busy += seconds
                     if item.kind == "trial":
                         self._tell_plain(item.trial, tag, payload, catch)
-                    else:
-                        item.cohort.results[item.trial.number] = (tag, payload)
-                        if item.cohort.ready_to_decide():
-                            self._decide(
-                                item.cohort, pending, submit_rung, subsets, catch
-                            )
+                    elif item.step == item.race.step:
+                        # Anything else is stale: the race treats its
+                        # candidate as known or as a repeat.
+                        item.race.results[item.key] = (tag, payload)
+                        self._pump(item.race)
+                self._start_races()
             except Exception:
                 if not remote:
                     self._drain(pending)
@@ -690,103 +675,123 @@ class PipelinedDispatcher:
                 raise payload
         self._advance_finished()
 
-    # -- racing cohorts --------------------------------------------------------
+    # -- racing (DESIGN.md §8) -----------------------------------------------
 
-    def _enroll(self, cohorts, trial, n_trials, subsets) -> _Cohort:
-        generation = trial.number // self.batch_size
-        cohort = cohorts.get(generation)
-        if cohort is None:
-            first = generation * self.batch_size
-            cohort = _Cohort(
-                generation=generation,
-                expected=min(self.batch_size, n_trials - first),
-                new_members=subsets[0],
-                seen=subsets[0],
-            )
-            cohorts[generation] = cohort
-        cohort.trials.append(trial)
-        cohort.matrices[trial.number] = {}
-        return cohort
+    def _prepare_race(self, objective, racing) -> "list[tuple[int, ...]]":
+        """Check the objective's multi-fidelity hooks, fix the race's
+        settings and resolve the rung subsets."""
+        from ..core.racing import NONNEGATIVE_OBJECTIVES, RacingStats
 
-    def _reduced(self, objective, cohort, trial) -> tuple[float, ...]:
-        from ..core.metrics import aggregate_values
-
-        matrix = cohort.matrices[trial.number]
-        vectors = [matrix[m] for m in sorted(matrix)]
-        return tuple(
-            aggregate_values(column, objective.aggregate) for column in zip(*vectors)
+        hooks = ["n_members", "aggregate", "member_values"]
+        if racing.order == "hardest":
+            hooks.append("member_difficulty")  # probe-ranked subsets
+        for hook in hooks:
+            if not hasattr(objective, hook):
+                raise OptimizationError(
+                    "racing needs a multi-fidelity objective exposing "
+                    f"'{hook}' (see CompositionObjective)"
+                )
+        n = int(objective.n_members)
+        self._subsets = racing.subsets(
+            n, difficulty=getattr(objective, "member_difficulty", None)
         )
+        self._aggregate = objective.aggregate
+        # Zero-padded bounds are sound for minimized objectives that are
+        # non-negative by construction; a maximize direction voids all.
+        names = list(getattr(objective, "objectives", ()))
+        names += [""] * (len(self.study.directions) - len(names))
+        self._nonnegative = (
+            [name in NONNEGATIVE_OBJECTIVES for name in names]
+            if all(d.is_minimize() for d in self.study.directions)
+            else None
+        )
+        # The probe's member evals are charged to the first race, as
+        # RacingEvaluator charges them.
+        self._probe_evals = n if racing.order == "hardest" and n > 1 else 0
+        self.racing_stats = RacingStats()
+        return self._subsets
 
-    def _decide(self, cohort, pending, submit_rung, subsets, catch) -> None:
-        """Apply one rung's outcome to a fully-arrived cohort.
+    def _enroll(self, trial, n_trials: int) -> None:
+        """Add an asked trial to its generation's race and submit its
+        candidate's first-rung item, unless the generation has it."""
+        generation = trial.number // self.batch_size
+        first = generation * self.batch_size
+        race = self._races.setdefault(
+            generation, _Race(first, min(self.batch_size, n_trials - first))
+        )
+        key = tuple(sorted(trial.params.items()))
+        if key not in race.keys:
+            self._submit(race, key, self._subsets[0])
+        race.trials.append(trial)
+        race.keys.append(key)
 
-        Every survivor of the previous rung has landed, so the decision
-        sees the whole cohort's member matrices, exactly as a barrier
-        would — it is just triggered by arrival.  Survivors' next-rung
-        slices are submitted
-        as fresh queue items; the study is told about prunes/failures
-        immediately, which also advances the finished prefix that gates
-        speculative asks.
-        """
-        if cohort.alive is None:
-            cohort.alive = list(cohort.trials)
-        objective = self._objective
-        survivors = []
-        for trial in cohort.alive:
-            tag, payload = cohort.results.get(trial.number, ("ok", ()))
-            if tag == "ok":
-                for member, vector in zip(cohort.new_members, payload):
-                    cohort.matrices[trial.number][member] = (
-                        (vector,) if np.isscalar(vector) else tuple(vector)
-                    )
-                survivors.append(trial)
-            elif tag == "pruned":
-                self.study.tell(trial, state=TrialState.PRUNED)
-            else:
-                self.study.tell(trial, state=TrialState.FAILED)
-                if not (catch and isinstance(payload, catch)):
-                    self._advance_finished()
-                    raise payload
-        if cohort.rung == len(subsets) - 1:
-            n_members = int(objective.n_members)
-            for trial in survivors:
-                trial.set_system_attr(RACING_RUNG_ATTR, n_members)
-                self.study.tell(trial, self._reduced(objective, cohort, trial))
+    def _submit(self, race: _Race, key: tuple, members) -> None:
+        future = self._submit_rung(dict(key), members)
+        self._pending[future] = _Item("rung", race=race, key=key, step=race.step)
+
+    def _start_races(self) -> None:
+        """Start each generation's race once it is fully asked and every
+        earlier trial is finished, which fixes its known values: the
+        told values of earlier COMPLETE trials with the same params."""
+        from ..core.racing import race_steps
+
+        for race in list(self._races.values()):
+            if race.steps is not None:
+                continue
+            if len(race.trials) < race.expected or self._finished < race.first:
+                return
+            known: "dict[tuple, tuple]" = {}
+            for trial in self.study.trials[: race.first]:
+                key = tuple(sorted(trial.params.items()))
+                if trial.state == TrialState.COMPLETE and key in race.keys:
+                    known.setdefault(key, tuple(trial.values))
+            race.steps = race_steps(
+                race.keys,
+                known,
+                self._subsets,
+                self._aggregate,
+                self._nonnegative,
+                minimized=self.study.minimized_values,
+            )
+            self._advance(race, None)
+
+    def _pump(self, race: _Race) -> None:
+        """Answer the core's request once every candidate's item landed;
+        a failed (or objective-pruned) candidate leaves the race."""
+        keys = race.request[1]
+        if race.steps is None or any(k not in race.results for k in keys):
+            return
+        rows = []
+        for key in keys:
+            tag, payload = race.results[key]
+            ok = tag == "ok"
+            rows.append([(v,) if np.isscalar(v) else v for v in payload] if ok else None)
+            for trial, trial_key in zip(race.trials, race.keys):
+                if not ok and trial_key == key:
+                    self._tell_plain(trial, tag, payload, self._catch)
+        self._advance(race, rows)
+
+    def _advance(self, race: _Race, rows) -> None:
+        """Send ``rows`` to the core (``None`` starts it) and submit its
+        next request, or tell the generation the core's outcome."""
+        from ..core.racing import tell_race
+
+        try:
+            race.request = next(race.steps) if rows is None else race.steps.send(rows)
+        except StopIteration as stop:
+            race.step = -1
+            del self._races[race.first // self.batch_size]
+            stop.value.stats.member_evals += self._probe_evals
+            self._probe_evals = 0
+            self.racing_stats.merge(stop.value.stats)
+            tell_race(self.study, race.trials, race.keys, stop.value)
             self._advance_finished()
             return
-        size = len(cohort.seen)
-        vectors = [self._reduced(objective, cohort, trial) for trial in survivors]
-        for trial, vector in zip(survivors, vectors):
-            trial.report(float(vector[0]), step=size)
-            trial.set_system_attr(RACING_RUNG_ATTR, size)
-        front = (
-            set(
-                int(i)
-                for i in pareto_front_indices(self.study.minimized_values(vectors))
-            )
-            if vectors
-            else set()
-        )
-        next_alive = []
-        for i, trial in enumerate(survivors):
-            if i in front:
-                next_alive.append(trial)
-            else:
-                self.study.tell(trial, state=TrialState.PRUNED)
-        self._advance_finished()
-        cohort.alive = next_alive
-        cohort.rung += 1
-        cohort.results = {}
-        if not next_alive:
+        if rows is None:
+            # The first request is the first rung, submitted at ask time.
+            self._pump(race)
             return
-        subset = subsets[cohort.rung]
-        cohort.new_members = tuple(m for m in subset if m not in cohort.seen)
-        cohort.seen = subset
-        if not cohort.new_members:
-            # Nothing new to evaluate at this rung: decide immediately.
-            self._decide(cohort, pending, submit_rung, subsets, catch)
-            return
-        for trial in next_alive:
-            pending[submit_rung(dict(trial.params), cohort.new_members)] = _Item(
-                "rung", trial, cohort
-            )
+        race.step += 1
+        race.results = {}
+        for key in race.request[1]:
+            self._submit(race, key, race.request[0])

@@ -41,7 +41,7 @@ it:
    is property-fuzzed in ``tests/test_fidelity_differential.py``).
 
 The member *difficulty order* is probed once at the ladder's cheapest
-level and shared with the full-physics racer (``member_order``), so
+level and shared with the full-physics racer (its ``subsets``), so
 every level races prefixes of the same member ranking and the schedules
 compose into a (member rung × fidelity rung) grid.
 
@@ -70,7 +70,6 @@ from .fastsim import evaluate_member_slice
 from .metrics import (
     EvaluatedComposition,
     RobustEvaluatedComposition,
-    aggregate_values,
     parse_aggregate,
 )
 from .pareto import pareto_front
@@ -83,8 +82,8 @@ from .racing import (
     RacingStats,
     RungSchedule,
     SliceEvaluator,
+    _aggregate_rows,
     _strictly_dominated,
-    difficulty_ranking,
     partial_lower_bound,
 )
 from .scenario import Scenario
@@ -549,31 +548,28 @@ class FidelityRacingEvaluator:
             name: self._slice_for(stack) for name, stack in self._stacks.items()
         }
         n = len(self.base)
-        order: "list[int] | None" = None
-        if self.schedule.order == "hardest" and n > 1:
+        cheapest = self.ladder.levels[0]
+
+        def difficulty() -> "list[float]":
             # Rank member difficulty once, at the *cheapest* level, and
-            # share the order with every rung of every level (including
+            # share the subsets with every rung of every level (including
             # the inner full-physics racer) so all subsets are prefixes
             # of one ranking.
-            cheapest = self.ladder.levels[0]
             rows = self._slices[cheapest](list(range(n)), [PROBE_COMPOSITION])
             if cheapest == FULL_LEVEL:
                 self._pending_full += n
             else:
                 self._pending_cheap += n
-            order = difficulty_ranking(
-                [row[0].objectives(self.objectives)[0] for row in rows]
-            )
-            self._subsets = self.schedule.subsets_from_order(order)
-        else:
-            self._subsets = self.schedule.subsets(n)
+            return [row[0].objectives(self.objectives)[0] for row in rows]
+
+        self._subsets = self.schedule.subsets(n, difficulty=difficulty)
         self._full = RacingEvaluator(
             self._stacks[FULL_LEVEL],
             schedule=self.schedule,
             aggregate=self.aggregate,
             objectives=self.objectives,
             evaluate_slice=self._slices[FULL_LEVEL],
-            member_order=order,
+            subsets=self._subsets,
         )
         self._calibrate()
 
@@ -606,16 +602,6 @@ class FidelityRacingEvaluator:
             )
 
     # -- screening -------------------------------------------------------------
-
-    def _partial_vector(
-        self, member_evals: "dict[int, EvaluatedComposition]"
-    ) -> "tuple[float, ...]":
-        vectors = [
-            member_evals[m].objectives(self.objectives) for m in sorted(member_evals)
-        ]
-        return tuple(
-            aggregate_values(column, self.aggregate) for column in zip(*vectors)
-        )
 
     def _screen(
         self,
@@ -651,7 +637,13 @@ class FidelityRacingEvaluator:
                     for i, comp in enumerate(alive):
                         evals[comp][m] = rows[j][i]
             seen = subset
-            vectors = [self._partial_vector(evals[c]) for c in alive]
+            vectors = [
+                _aggregate_rows(
+                    [evals[c][m].objectives(self.objectives) for m in sorted(evals[c])],
+                    self.aggregate,
+                )
+                for c in alive
+            ]
             for comp, vec in zip(alive, vectors):
                 history[comp].append((size, vec))
             front = set(

@@ -44,20 +44,26 @@ Three properties make the race exact rather than merely heuristic:
   Pareto front** a full-ensemble evaluation returns, at a fraction of
   the member-evaluations (``benchmarks/bench_racing.py`` asserts ≥2×).
 
-Study integration lives in :mod:`repro.core.study_runner`
-(``run_blackbox(racing=...)``) and :mod:`repro.blackbox.parallel`
-(rung dispatch across worker slots); the CLI flag is
+The race itself is one resumable core, :func:`race_steps`: a generator
+that yields ``(member_indices, keys)`` slice requests and returns the
+:class:`RaceOutcome`.  :meth:`RacingEvaluator.race` answers it in-process
+(the batched driver, :mod:`repro.core.study_runner`, and the fidelity
+ladder's full-physics race); :class:`~repro.blackbox.parallel.
+PipelinedDispatcher` answers it with one work item per candidate on a
+local or remote pool.  Both tell the study through :func:`tell_race`,
+so every driver prunes the same trials.  The CLI flag is
 ``repro study run --racing rungs=2,8,full``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Generator, Hashable, Mapping, Sequence
 
 import numpy as np
 
 from ..blackbox.multiobjective import pareto_front_indices
+from ..blackbox.trial import RACING_RUNG_ATTR, TrialState
 from ..exceptions import ConfigurationError
 from .composition import MicrogridComposition
 from .dispatch import VectorizedPolicy
@@ -82,6 +88,8 @@ __all__ = [
     "difficulty_ranking",
     "partial_lower_bound",
     "race_front",
+    "race_steps",
+    "tell_race",
 ]
 
 #: spec token meaning "the full ensemble" (the mandatory final rung)
@@ -239,24 +247,23 @@ class RungSchedule:
         sizes = [int(r) for r in self.rungs[:-1] if int(r) < n_members]
         return tuple(sizes) + (n_members,)
 
-    def subsets(self, n_members: int) -> list[tuple[int, ...]]:
-        """Nested member-index subsets, one per resolved rung.
-
-        Only defined for ``order=seeded`` (or a single-member ensemble,
-        where every order is the same): the ``hardest`` order needs a
-        probe evaluation of the actual ensemble, which a bare schedule
-        cannot perform — rank the members first and call
-        :meth:`subsets_from_order`, as :class:`RacingEvaluator` and the
-        parallel rung dispatch do.  Raising here (instead of silently
-        falling back to the seeded permutation) keeps every racing
-        driver honest about the order the spec string records.
-        """
+    def subsets(
+        self,
+        n_members: int,
+        difficulty: "Callable[[], Sequence[float]] | None" = None,
+    ) -> list[tuple[int, ...]]:
+        """Nested member-index subsets, one per resolved rung — where
+        every racing driver resolves them.  ``order=hardest`` ranks the
+        members by ``difficulty()`` (per-member values of a fixed probe
+        build) and, rather than silently falling back to the seeded
+        permutation, raises without it on a multi-member ensemble."""
         if self.order == "hardest" and n_members > 1:
-            raise ConfigurationError(
-                "the 'hardest' order ranks members with a probe evaluation; "
-                "pass the ranking to subsets_from_order() (or use "
-                "order=seeded)"
-            )
+            if difficulty is None:
+                raise ConfigurationError(
+                    "the 'hardest' order ranks members with a probe evaluation; "
+                    "pass its difficulty (or use order=seeded)"
+                )
+            return self.subsets_from_order(difficulty_ranking(difficulty()))
         return [
             member_subset(n_members, size, seed=self.subset_seed)
             for size in self.resolve(n_members)
@@ -277,37 +284,6 @@ class RungSchedule:
 def difficulty_ranking(difficulty: Sequence[float]) -> list[int]:
     """Member indices hardest-first (stable, so ties keep ensemble order)."""
     return [int(i) for i in np.argsort(-np.asarray(difficulty), kind="stable")]
-
-
-def resolve_rung_subsets(objective, schedule: "RungSchedule") -> list[tuple[int, ...]]:
-    """Validate a multi-fidelity objective and resolve its rung subsets.
-
-    The driver-side half of :class:`~repro.blackbox.parallel.
-    PipelinedDispatcher`'s Optuna-style rung dispatch (DESIGN.md §8),
-    racing the same subsets :class:`RacingEvaluator` races for a given
-    ensemble: checks the objective exposes the ``n_members`` /
-    ``aggregate`` / ``member_values`` hooks (plus ``member_difficulty``
-    for the probe-ranked ``hardest`` order, which is evaluated once per
-    call — the ranking is deterministic per ensemble) and returns the
-    nested member subsets, one per rung.
-    """
-    from ..exceptions import OptimizationError
-
-    hooks = ["n_members", "aggregate", "member_values"]
-    if schedule.order == "hardest":
-        hooks.append("member_difficulty")  # probe-ranked subsets
-    for hook in hooks:
-        if not hasattr(objective, hook):
-            raise OptimizationError(
-                "racing needs a multi-fidelity objective exposing "
-                f"'{hook}' (see CompositionObjective)"
-            )
-    n_members = int(objective.n_members)
-    if schedule.order == "hardest" and n_members > 1:
-        return schedule.subsets_from_order(
-            difficulty_ranking(objective.member_difficulty())
-        )
-    return schedule.subsets(n_members)
 
 
 def partial_lower_bound(
@@ -442,7 +418,10 @@ class RacingEvaluator:
     One instance per (ensemble, schedule, aggregate, objectives); call
     :meth:`race` per candidate batch (e.g. one NSGA-II generation).
     ``evaluate_slice`` defaults to the in-process stacked tensor loop
-    (DESIGN.md §8); tests substitute a fake one.
+    (DESIGN.md §8); tests substitute a fake one.  ``subsets`` replaces
+    the probe-ranked member subsets — the fidelity ladder ranks members
+    once at its cheapest level and shares the subsets so every level
+    races identical ones.
     """
 
     def __init__(
@@ -453,7 +432,7 @@ class RacingEvaluator:
         objectives: Sequence[str] = ("operational", "embodied"),
         policy: VectorizedPolicy | None = None,
         evaluate_slice: "SliceEvaluator | None" = None,
-        member_order: "Sequence[int] | None" = None,
+        subsets: "Sequence[tuple[int, ...]] | None" = None,
     ) -> None:
         self.scenarios = list(scenarios)
         if not self.scenarios:
@@ -463,122 +442,37 @@ class RacingEvaluator:
         self.aggregate = aggregate
         self.objectives = tuple(objectives)
         self.policy = policy
-        self._evaluate_slice = evaluate_slice or self._default_slice
-        self.sizes = self.schedule.resolve(len(self.scenarios))
-        #: explicit member ranking (hardest-first) replacing the probe —
-        #: the fidelity ladder ranks members once at its cheapest level
-        #: and shares the order so every level races identical subsets
-        self._member_order = list(member_order) if member_order is not None else None
-        self._subsets: "list[tuple[int, ...]] | None" = None
+        self._evaluate_slice = evaluate_slice or (
+            lambda members, comps: evaluate_member_slice(
+                self.scenarios, members, comps, policy=self.policy
+            )
+        )
+        self._subsets = list(subsets) if subsets is not None else None
         #: member evals spent probing the 'hardest' order, charged to the
         #: first race's stats
         self._probe_evals_pending = 0
-
-    def _default_slice(
-        self, member_indices: Sequence[int], comps: "list[MicrogridComposition]"
-    ) -> "list[list[EvaluatedComposition]]":
-        return evaluate_member_slice(self.scenarios, member_indices, comps, policy=self.policy)
 
     @property
     def subsets(self) -> "list[tuple[int, ...]]":
         """Nested member subsets, one per rung (computed on first use)."""
         if self._subsets is None:
-            n = len(self.scenarios)
-            if self._member_order is not None:
-                self._subsets = self.schedule.subsets_from_order(self._member_order)
-            elif self.schedule.order == "hardest" and n > 1:
-                self._subsets = self.schedule.subsets_from_order(
-                    self._difficulty_order()
-                )
-                self._probe_evals_pending = n
-            else:
-                self._subsets = self.schedule.subsets(n)
+            self._subsets = self.schedule.subsets(
+                len(self.scenarios), difficulty=self._probe
+            )
         return self._subsets
 
-    def _difficulty_order(self) -> "list[int]":
-        """Members ranked hardest-first by a fixed probe build.
+    def _probe(self) -> "list[float]":
+        """Per-member first-objective values of the fixed probe build.
 
-        One single-candidate evaluation of every member, sorted by the
-        first objective descending (stable, so ties keep ensemble
-        order).  Deterministic given the ensemble — resume rebuilds the
-        ensemble from its persisted spec and therefore the same order.
+        One single-candidate evaluation of every member, charged to the
+        first race.  Deterministic given the ensemble — resume rebuilds
+        the ensemble from its persisted spec and therefore the same
+        order.
         """
-        per_member = self._evaluate_slice(
-            list(range(len(self.scenarios))), [PROBE_COMPOSITION]
-        )
-        return difficulty_ranking(
-            [row[0].objectives(self.objectives)[0] for row in per_member]
-        )
-
-    # -- per-candidate bookkeeping helpers ------------------------------------
-
-    def _fill(
-        self,
-        evals: "dict[MicrogridComposition, dict[int, EvaluatedComposition]]",
-        comps: "list[MicrogridComposition]",
-        new_members: "list[int]",
-        stats: RacingStats,
-    ) -> None:
-        """Evaluate ``comps`` on ``new_members`` and record per-cell results."""
-        if not comps or not new_members:
-            return
-        per_member = self._evaluate_slice(new_members, comps)
-        stats.member_evals += len(new_members) * len(comps)
-        for j, m in enumerate(new_members):
-            for i, comp in enumerate(comps):
-                evals[comp][m] = per_member[j][i]
-
-    def _partial_vector(
-        self, member_evals: "dict[int, EvaluatedComposition]"
-    ) -> tuple[float, ...]:
-        """Aggregate the seen members' objective vectors (any subset size)."""
-        vectors = [member_evals[m].objectives(self.objectives) for m in sorted(member_evals)]
-        return tuple(
-            aggregate_values(column, self.aggregate) for column in zip(*vectors)
-        )
-
-    def _exact(
-        self,
-        comp: MicrogridComposition,
-        member_evals: "dict[int, EvaluatedComposition]",
-    ) -> RobustEvaluatedComposition:
-        """Exact wrapper over the full member set, in canonical order.
-
-        Built exactly like :func:`repro.core.metrics.robust_evaluations`
-        builds it from a full-stack evaluation, so ``objectives()`` runs
-        the identical float reduction — finalists are bit-for-bit.
-        """
-        per_scenario = tuple(member_evals[m] for m in range(len(self.scenarios)))
-        return RobustEvaluatedComposition(
-            composition=comp,
-            embodied_kg=per_scenario[0].embodied_kg,
-            per_scenario=per_scenario,
-            aggregate=self.aggregate,
-        )
-
-    def _lower_bounds(
-        self,
-        comps: "list[MicrogridComposition]",
-        evals: "dict[MicrogridComposition, dict[int, EvaluatedComposition]]",
-    ) -> "list[np.ndarray | None]":
-        """Certified lower-bound vectors (None where no sound bound exists)."""
         n = len(self.scenarios)
-        out: "list[np.ndarray | None]" = []
-        for comp in comps:
-            seen = [evals[comp][m].objectives(self.objectives) for m in sorted(evals[comp])]
-            bounds = [
-                partial_lower_bound(
-                    column,
-                    n,
-                    self.aggregate,
-                    nonnegative=name in NONNEGATIVE_OBJECTIVES,
-                )
-                for name, column in zip(self.objectives, zip(*seen))
-            ]
-            out.append(None if any(b is None for b in bounds) else np.array(bounds))
-        return out
-
-    # -- the race -------------------------------------------------------------
+        per_member = self._evaluate_slice(list(range(n)), [PROBE_COMPOSITION])
+        self._probe_evals_pending = n
+        return [row[0].objectives(self.objectives)[0] for row in per_member]
 
     def race(
         self,
@@ -587,133 +481,202 @@ class RacingEvaluator:
     ) -> RaceOutcome:
         """Race a candidate set; return exact survivors + proven-pruned.
 
-        ``known`` passes already-exact evaluations (e.g. the study
-        runner's memo cache for revisited genomes): they pay nothing,
-        and their exact vectors sharpen both the promotion fronts and
-        the elimination proofs.
-
-        Every returned ``evaluated`` entry is a full-ensemble
-        evaluation; every ``pruned`` entry is *proven* strictly
-        dominated by one of them, so the Pareto front over ``evaluated``
-        is exactly the front a full evaluation of all candidates would
-        report.
+        Drives :func:`race_steps` in-process, one slice evaluation per
+        request.  ``known`` passes already-exact evaluations (e.g. the
+        study runner's memo cache for revisited genomes): they pay
+        nothing and sharpen the promotion fronts and the proofs.  Every
+        ``evaluated`` entry is a full-ensemble evaluation (bit-for-bit:
+        built like :func:`repro.core.metrics.robust_evaluations` builds
+        it), every ``pruned`` one is proven strictly dominated by one of
+        them, so the front over ``evaluated`` is the full front.
         """
-        comps = list(dict.fromkeys(compositions))
-        exact: "dict[MicrogridComposition, RobustEvaluatedComposition]" = dict(known or {})
-        unknown = [c for c in comps if c not in exact]
-
-        subsets = self.subsets  # may probe the member order (first race)
-        stats = RacingStats(
-            n_members=len(self.scenarios),
-            rung_sizes=self.sizes,
-            candidates=len(unknown),
-            full_member_evals=len(unknown) * len(self.scenarios),
-            member_evals=self._probe_evals_pending,
+        known = dict(known or {})
+        cells: "dict[MicrogridComposition, dict[int, EvaluatedComposition]]" = {}
+        steps = race_steps(
+            compositions,
+            {c: e.objectives(self.objectives) for c, e in known.items()},
+            self.subsets,  # may probe the member order (first race)
+            self.aggregate,
+            [name in NONNEGATIVE_OBJECTIVES for name in self.objectives],
         )
+        try:
+            members, comps = next(steps)
+            while True:
+                per_member = self._evaluate_slice(members, comps)
+                for j, m in enumerate(members):
+                    for i, comp in enumerate(comps):
+                        cells.setdefault(comp, {})[m] = per_member[j][i]
+                members, comps = steps.send(
+                    [[cells[c][m].objectives(self.objectives) for m in members] for c in comps]
+                )
+        except StopIteration as stop:
+            outcome = stop.value
+        outcome.stats.member_evals += self._probe_evals_pending
         self._probe_evals_pending = 0
-        evals: "dict[MicrogridComposition, dict[int, EvaluatedComposition]]" = {
-            c: {} for c in unknown
-        }
-        partials: "dict[MicrogridComposition, list[tuple[int, tuple[float, ...]]]]" = {
-            c: [] for c in unknown
-        }
-        eliminated: "list[MicrogridComposition]" = []
-
-        known_vectors = [exact[c].objectives(self.objectives) for c in comps if c in exact]
-        alive = unknown
-        seen: tuple[int, ...] = ()
-        for rung_index, (size, subset) in enumerate(zip(self.sizes, subsets)):
-            if not alive:
-                break
-            stats.alive_per_rung[size] = len(alive)
-            new_members = [m for m in subset if m not in seen]
-            self._fill(evals, alive, new_members, stats)
-            seen = subset
-            if rung_index == len(self.sizes) - 1:
-                for comp in alive:
-                    exact[comp] = self._exact(comp, evals[comp])
-                break
-            vectors = [self._partial_vector(evals[c]) for c in alive]
-            for comp, vec in zip(alive, vectors):
-                partials[comp].append((size, vec))
-            # Promotion rule: a candidate survives the rung only if its
-            # partial aggregate reaches the surviving front.  Known
-            # exact vectors join the pool — being dominated by an exact
-            # candidate is already a closed elimination proof.
-            pool = np.array(vectors + known_vectors, dtype=np.float64)
-            front = set(int(i) for i in pareto_front_indices(pool))
-            next_alive = [c for i, c in enumerate(alive) if i in front]
-            eliminated.extend(c for i, c in enumerate(alive) if i not in front)
-            alive = next_alive
-
-        self._verify(exact, evals, partials, eliminated, stats)
-
-        pruned = {
-            c: PrunedCandidate(
-                composition=c,
-                rung_size=len(evals[c]),
-                partials=tuple(partials[c]),
-            )
-            for c in unknown
-            if c not in exact
-        }
-        stats.pruned = len(pruned)
-        return RaceOutcome(evaluated=exact, pruned=pruned, stats=stats)
-
-    def _verify(
-        self,
-        exact: "dict[MicrogridComposition, RobustEvaluatedComposition]",
-        evals: "dict[MicrogridComposition, dict[int, EvaluatedComposition]]",
-        partials: "dict[MicrogridComposition, list[tuple[int, tuple[float, ...]]]]",
-        eliminated: "list[MicrogridComposition]",
-        stats: RacingStats,
-    ) -> None:
-        """Close every elimination with a proof, or climb until exact.
-
-        An eliminated candidate whose certified lower bound is not
-        strictly dominated by some exact evaluation climbs to the next
-        rung size (tightening the bound) and is re-checked; a candidate
-        that reaches full fidelity joins the exact set (promoted back).
-        The loop terminates because every pass either proves a candidate
-        dominated or strictly grows its member set.
-        """
         n = len(self.scenarios)
-        pending = list(eliminated)
-        while pending:
-            exact_matrix = np.array(
-                [e.objectives(self.objectives) for e in exact.values()],
-                dtype=np.float64,
+        outcome.evaluated = {
+            c: known[c]
+            if c in known
+            else RobustEvaluatedComposition(
+                composition=c,
+                embodied_kg=cells[c][0].embodied_kg,
+                per_scenario=tuple(cells[c][m] for m in range(n)),
+                aggregate=self.aggregate,
             )
-            bounds = self._lower_bounds(pending, evals)
-            unproven = [
-                comp
-                for comp, bound in zip(pending, bounds)
-                if bound is None or not _strictly_dominated(bound, exact_matrix)
-            ]
-            if not unproven:
-                break
-            # Advance every unproven candidate to its next rung size,
-            # grouped by how many members it has seen (so each group is
-            # one vectorized slice evaluation).
-            by_size: "dict[int, list[MicrogridComposition]]" = {}
-            for comp in unproven:
-                by_size.setdefault(len(evals[comp]), []).append(comp)
-            subset_of_size = dict(zip(self.sizes, self.subsets))
-            for seen_count, group in by_size.items():
-                target = next((s for s in self.sizes if s > seen_count), n)
-                new_members = [
-                    m for m in subset_of_size[target] if m not in evals[group[0]]
-                ]
-                self._fill(evals, group, new_members, stats)
-                for comp in group:
-                    if len(evals[comp]) >= n:
-                        exact[comp] = self._exact(comp, evals[comp])
-                        stats.promoted_back += 1
-                    else:
-                        partials[comp].append(
-                            (len(evals[comp]), self._partial_vector(evals[comp]))
-                        )
-            pending = [c for c in unproven if c not in exact]
+            for c in outcome.evaluated
+        }
+        return outcome
+
+
+def _aggregate_rows(rows: "Sequence[Sequence[float]]", aggregate: str) -> tuple[float, ...]:
+    """Reduce per-member objective vectors column-wise by ``aggregate``."""
+    return tuple(aggregate_values(column, aggregate) for column in zip(*rows))
+
+
+def race_steps(
+    candidates: "Sequence[Hashable]",
+    known: "Mapping[Hashable, Sequence[float]]",
+    subsets: "Sequence[tuple[int, ...]]",
+    aggregate: str,
+    nonnegative: "Sequence[bool] | None",
+    minimized: "Callable[[list], np.ndarray] | None" = None,
+) -> "Generator[tuple[tuple[int, ...], list], list, RaceOutcome]":
+    """The one race core every driver answers (DESIGN.md §8).
+
+    Yields ``(member_indices, keys)`` requests; the driver sends back one
+    row per key — its per-member objective vectors in slice order, or
+    ``None`` when the candidate failed and leaves the race.  Returns the
+    :class:`RaceOutcome`, keyed like ``candidates`` (a repeat races
+    once): ``evaluated`` holds every exact aggregate vector, ``known``
+    ones included, ``pruned`` every key proven dominated; failed keys
+    are in neither.  ``subsets`` are the nested rung subsets.
+    ``nonnegative`` certifies, per objective, the zero-padded bound of
+    :func:`partial_lower_bound` (``None``: no bound at all, so every
+    eliminated key climbs to full fidelity); ``minimized`` maps vectors
+    onto the all-minimize orientation every comparison runs in.
+
+    A rung keeps the keys whose partial aggregate reaches the front of
+    the alive and known vectors.  The proof then closes every
+    elimination: a key whose certified lower bound no exact vector
+    strictly dominates climbs to its next rung size and is re-checked,
+    and one that reaches full fidelity is promoted back.
+    """
+    matrix = minimized or (lambda rows: np.array(rows, dtype=np.float64))
+    n = len(subsets[-1])
+    sizes = tuple(len(s) for s in subsets)
+    keys = list(dict.fromkeys(candidates))
+    exact = {k: tuple(v) for k, v in known.items()}
+    unknown = [k for k in keys if k not in exact]
+    stats = RacingStats(
+        n_members=n,
+        rung_sizes=sizes,
+        candidates=len(unknown),
+        full_member_evals=len(unknown) * n,
+    )
+    evals: "dict[Hashable, dict[int, tuple]]" = {k: {} for k in unknown}
+    partials: "dict[Hashable, list]" = {k: [] for k in unknown}
+    failed: "set[Hashable]" = set()
+
+    def seen_rows(key):
+        return [evals[key][m] for m in sorted(evals[key])]
+
+    def fill(group, members):
+        """Ask for ``members`` on ``group``; return the keys still racing."""
+        if not group or not members:
+            return group
+        rows = yield tuple(members), list(group)
+        failed.update(k for k, row in zip(group, rows) if row is None)
+        for key, row in zip(group, rows):
+            if row is not None:
+                stats.member_evals += len(members)
+                evals[key].update(zip(members, map(tuple, row)))
+        return [k for k in group if k not in failed]
+
+    def proven(key, exact_matrix) -> bool:
+        if nonnegative is None:
+            return False
+        bounds = [
+            partial_lower_bound(column, n, aggregate, nonnegative=flag)
+            for flag, column in zip(nonnegative, zip(*seen_rows(key)))
+        ]
+        return None not in bounds and _strictly_dominated(np.array(bounds), exact_matrix)
+
+    known_vectors = [exact[k] for k in keys if k in exact]
+    eliminated: list = []
+    alive = unknown
+    for rung, (size, subset) in enumerate(zip(sizes, subsets)):
+        if not alive:
+            break
+        stats.alive_per_rung[size] = len(alive)
+        seen = subsets[rung - 1] if rung else ()
+        alive = yield from fill(alive, [m for m in subset if m not in seen])
+        if rung == len(sizes) - 1:
+            exact.update((k, _aggregate_rows(seen_rows(k), aggregate)) for k in alive)
+            break
+        vectors = [_aggregate_rows(seen_rows(k), aggregate) for k in alive]
+        for key, vec in zip(alive, vectors):
+            partials[key].append((size, vec))
+        # Known exact vectors join the pool: being dominated by an exact
+        # candidate is already a closed elimination proof.
+        front = set(pareto_front_indices(matrix(vectors + known_vectors)).tolist()) if alive else set()
+        eliminated += [k for i, k in enumerate(alive) if i not in front]
+        alive = [k for i, k in enumerate(alive) if i in front]
+
+    pending = eliminated
+    while pending:
+        exact_matrix = matrix(list(exact.values()))
+        unproven = [k for k in pending if not proven(k, exact_matrix)]
+        by_size: "dict[int, list]" = {}  # one request per members-seen count
+        for key in unproven:
+            by_size.setdefault(len(evals[key]), []).append(key)
+        for seen_count, group in by_size.items():
+            target = subsets[next((i for i, s in enumerate(sizes) if s > seen_count))]
+            new_members = [m for m in target if m not in evals[group[0]]]
+            for key in (yield from fill(group, new_members)):
+                if len(evals[key]) >= n:
+                    exact[key] = _aggregate_rows(seen_rows(key), aggregate)
+                    stats.promoted_back += 1
+                else:
+                    partials[key].append(
+                        (len(evals[key]), _aggregate_rows(seen_rows(key), aggregate))
+                    )
+        pending = [k for k in unproven if k not in exact and k not in failed]
+
+    pruned = {
+        k: PrunedCandidate(k, rung_size=len(evals[k]), partials=tuple(partials[k]))
+        for k in unknown
+        if k not in exact and k not in failed
+    }
+    stats.pruned = len(pruned)
+    return RaceOutcome(evaluated=exact, pruned=pruned, stats=stats)
+
+
+def tell_race(
+    study: Any,
+    trials: Sequence[Any],
+    keys: Sequence[Hashable],
+    outcome: RaceOutcome,
+    values: "Callable[[Any], Sequence[float]]" = tuple,
+) -> int:
+    """Tell raced trials their outcome (every driver's one tell); return
+    the number pruned.  An exact key's trial is told COMPLETE with
+    ``values(evaluated)`` and ``racing:rung`` = the ensemble size; a
+    pruned one PRUNED, with each rung's partial aggregate reported at
+    ``step = members seen`` and the rung reached in ``racing:rung``.  A
+    key in neither failed mid-race; its trial was told already."""
+    n_pruned = 0
+    for trial, key in zip(trials, keys):
+        if key in outcome.evaluated:
+            trial.set_system_attr(RACING_RUNG_ATTR, outcome.stats.n_members)
+            study.tell(trial, values(outcome.evaluated[key]))
+        elif key in outcome.pruned:
+            pruned = outcome.pruned[key]
+            for rung_size, partial in pruned.partials:
+                trial.report(partial[0], step=rung_size)
+            trial.set_system_attr(RACING_RUNG_ATTR, pruned.rung_size)
+            study.tell(trial, state=TrialState.PRUNED)
+            n_pruned += 1
+    return n_pruned
 
 
 def race_front(

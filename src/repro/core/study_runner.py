@@ -60,7 +60,7 @@ from .metrics import (
 from .fidelity import FidelityLadder, FidelityRacingEvaluator, sibling_stack
 from .parameterspace import PAPER_SPACE, ParameterSpace
 from .pareto import pareto_front, pareto_points
-from .racing import RacingEvaluator, RacingStats, RungSchedule
+from .racing import RacingEvaluator, RacingStats, RungSchedule, tell_race
 from .scenario import Scenario
 from .study_spec import check_resume_identity
 
@@ -495,15 +495,9 @@ class OptimizationRunner:
         comps: "list[MicrogridComposition]",
         seen: "list[AnyEvaluated]",
     ) -> int:
-        """Race one generation's candidates through the rung ladder.
-
-        Survivors (exactly evaluated — bit-identical values to a
-        non-raced evaluation) are told COMPLETE; candidates proven
-        dominated are told PRUNED, with each rung's partial aggregate
-        reported at ``step = members seen`` and the rung reached
-        recorded in :data:`RACING_RUNG_ATTR`.  Returns the number of
-        pruned trials.
-        """
+        """Race one generation's candidates through the rung ladder and
+        tell them through :func:`~repro.core.racing.tell_race`; return
+        the number of pruned trials."""
         unique = list(dict.fromkeys(comps))
         known = {c: self._cache[c] for c in unique if c in self._cache}
         outcome = racer.race(unique, known=known)
@@ -513,22 +507,18 @@ class OptimizationRunner:
             # nothing in later generations (and sharpen their proofs).
             self._cache.setdefault(comp, evaluated)
 
-        n_pruned = 0
         for trial, comp in zip(trials, comps):
             if comp in outcome.evaluated:
                 evaluated = outcome.evaluated[comp]
                 trial.set_user_attr("composition", evaluated.composition)
-                trial.set_system_attr(RACING_RUNG_ATTR, len(self.scenarios))
-                study.tell(trial, evaluated.objectives(self.objectives))
                 seen.append(evaluated)
-            else:
-                pruned = outcome.pruned[comp]
-                for rung_size, partial in pruned.partials:
-                    trial.report(partial[0], step=rung_size)
-                trial.set_system_attr(RACING_RUNG_ATTR, pruned.rung_size)
-                study.tell(trial, state=TrialState.PRUNED)
-                n_pruned += 1
-        return n_pruned
+        return tell_race(
+            study,
+            trials,
+            comps,
+            outcome,
+            values=lambda evaluated: evaluated.objectives(self.objectives),
+        )
 
     def run_pipelined(
         self,
@@ -628,6 +618,7 @@ class OptimizationRunner:
             study=study,
             n_simulations=None,
             n_pruned=sum(1 for t in study.trials if t.state == TrialState.PRUNED),
+            racing=dispatcher.racing_stats,
         )
 
     # -- search-quality analysis (§4.4) -----------------------------------------

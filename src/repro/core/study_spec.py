@@ -196,6 +196,8 @@ class StudySpec:
         object.__setattr__(self, "mean_power_mw", float(self.mean_power_mw))
         if self.shards is not None:
             object.__setattr__(self, "shards", int(self.shards))
+            if self.shards < 1:
+                raise OptimizationError(f"shards must be >= 1, got {self.shards}")
         if self.n_trials <= 0:
             raise OptimizationError("n_trials must be positive")
         if self.population <= 0:

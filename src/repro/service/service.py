@@ -197,7 +197,8 @@ def spec_from_document(document: Mapping[str, Any]) -> "tuple[StudySpec, str | N
     (alias for ``n_trials``), and ``speculate`` (an integer depth that
     expands to the canonical ``pipeline`` spec string).  Unknown keys
     are a hard error — a typoed identity key silently falling back to
-    its default is exactly the failure mode the spec exists to prevent.
+    its default is exactly the failure mode the spec exists to prevent —
+    and so is ``shards``: the service never opens a sharded store.
     Every invalid value raises :class:`ServiceError` (HTTP 400), as does
     an ``n_trials`` above :data:`MAX_TRIALS`.
     """
@@ -206,6 +207,8 @@ def spec_from_document(document: Mapping[str, Any]) -> "tuple[StudySpec, str | N
     if "trials" in doc:
         doc.setdefault("n_trials", doc.pop("trials"))
     speculate = doc.pop("speculate", None)
+    if "shards" in doc:
+        raise ServiceError("a submission cannot name 'shards': the service never shards its store")
     allowed = {f.name for f in dataclasses.fields(StudySpec)}
     unknown = sorted(set(doc) - allowed)
     if unknown:

@@ -218,6 +218,28 @@ class TestStudyStorageCli:
         assert "front size" in capsys.readouterr().out
 
 
+class TestRacingSummary:
+    """Both drivers report the racing work of a raced study run."""
+
+    def test_pipelined_run_prints_the_batched_racing_line(self, tmp_path, capsys):
+        lines = {}
+        for driver, extra in (("batched", []), ("pipelined", ["--pipeline"])):
+            assert (
+                main(
+                    ["study", "run", "--storage", str(tmp_path / f"{driver}.db"),
+                     "--site", "houston", "--ensemble", "years=2021-2024",
+                     "--racing", "rungs=2,full", "--trials", "20",
+                     "--population", "10", "--seed", "3",
+                     "--set", "scenario.n_hours=336", *extra]
+                )
+                == 0
+            )
+            out = capsys.readouterr().out
+            lines[driver] = [line for line in out.splitlines() if "racing:" in line]
+        assert lines["pipelined"] == lines["batched"]
+        assert len(lines["batched"]) == 1 and "member-evals" in lines["batched"][0]
+
+
 class TestWorkersValidation:
     """Bad ``--workers`` values exit with a message, not a traceback."""
 
@@ -241,6 +263,11 @@ class TestWorkersValidation:
     def test_run_rejects_bad_workers(self, tmp_path, extra, message):
         with pytest.raises(SystemExit, match=message):
             self._run(str(tmp_path / "s.db"), *extra)
+
+    @pytest.mark.parametrize("shards", ["0", "-3"])
+    def test_run_rejects_bad_shards(self, tmp_path, shards):
+        with pytest.raises(SystemExit, match="shards must be >= 1"):
+            self._run(str(tmp_path / "s.db"), "--shards", shards)
 
     def test_resume_of_pipelined_study_rejects_zero_workers(self, tmp_path):
         spec = str(tmp_path / "p.db")

@@ -29,6 +29,7 @@ import pytest
 
 from repro.blackbox import NSGA2Sampler, create_study
 from repro.blackbox.distributions import FloatDistribution, IntDistribution
+from repro.blackbox.multiobjective import pareto_front_indices
 from repro.blackbox.parallel import (
     PipelinedDispatcher,
     parse_pipeline_spec,
@@ -129,6 +130,36 @@ def _run_pipelined(
     return study, dispatcher
 
 
+#: ``run_blackbox`` rows per (aggregate, seed), shared by both worker counts
+_BATCHED_RACES: dict = {}
+
+
+def _raced_run(ensemble, aggregate, seed, driver, **extra):
+    runner = OptimizationRunner(ensemble, space=RACE_SPACE, aggregate=aggregate)
+    return getattr(runner, driver)(
+        n_trials=30,
+        sampler=NSGA2Sampler(population_size=10, seed=seed),
+        storage="memory://",
+        study_name="raced",
+        racing="rungs=2,full",
+        **extra,
+    )
+
+
+def _raced_rows(result) -> list:
+    return [
+        (
+            t.number,
+            dict(t.params),
+            t.values,
+            t.state,
+            t.system_attrs.get(RACING_RUNG_ATTR),
+            dict(t.intermediate) if t.state == TrialState.PRUNED else None,
+        )
+        for t in result.study.trials
+    ]
+
+
 class TestSpecZeroBitIdentity:
     """speculate=0 → the exact generation-batched run, worker-count free."""
 
@@ -139,39 +170,32 @@ class TestSpecZeroBitIdentity:
         assert trial_rows(piped) == reference
 
     @pytest.mark.parametrize("workers", [1, 4])
-    def test_racing_matches_batched_runner(self, houston_ensemble, workers):
-        """Same prune decisions, rung attrs, surviving values and pruned
-        trials' partial reports as ``run_blackbox``'s generation-batched
-        racer on a real five-member ensemble."""
-        def rows(result):
-            return [
-                (
-                    t.number,
-                    dict(t.params),
-                    t.values,
-                    t.state,
-                    t.system_attrs.get(RACING_RUNG_ATTR),
-                    dict(t.intermediate) if t.state == TrialState.PRUNED else None,
-                )
-                for t in result.study.trials
-            ]
-
-        def run(driver, **extra):
-            runner = OptimizationRunner(houston_ensemble, space=RACE_SPACE)
-            return getattr(runner, driver)(
-                n_trials=30,
-                sampler=NSGA2Sampler(population_size=10, seed=42),
-                storage="memory://",
-                study_name="raced",
-                racing="rungs=2,full",
-                **extra,
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("aggregate", ["worst", "mean", "cvar:0.4"])
+    def test_racing_matches_batched_runner(
+        self, houston_ensemble, aggregate, seed, workers
+    ):
+        """Both drivers race through one core: the same prune decisions,
+        rung attrs, surviving values and pruned trials' partial reports
+        as ``run_blackbox``'s generation-batched racer on a real
+        five-member ensemble, for every aggregate."""
+        key = (aggregate, seed)
+        if key not in _BATCHED_RACES:
+            _BATCHED_RACES[key] = _raced_rows(
+                _raced_run(houston_ensemble, aggregate, seed, "run_blackbox")
             )
-
-        reference = rows(run("run_blackbox"))
-        assert any(row[3] == TrialState.PRUNED for row in reference), (
-            "racing never pruned — vacuous equivalence"
+        reference = _BATCHED_RACES[key]
+        piped = _raced_run(
+            houston_ensemble, aggregate, seed, "run_pipelined", workers=workers
         )
-        assert rows(run("run_pipelined", workers=workers)) == reference
+        assert _raced_rows(piped) == reference
+
+    def test_batched_reference_races_prune(self, houston_ensemble):
+        """The equivalence above is not vacuous: the batched racer prunes
+        at these settings."""
+        result = _raced_run(houston_ensemble, "worst", 0, "run_blackbox")
+        assert result.n_pruned > 0
+        assert result.racing.promoted_back + result.racing.pruned > 0
 
     def test_racing_matches_serial_executor(self):
         """Rung climbs as queue items: same prune decisions, same partial
@@ -188,6 +212,71 @@ class TestSpecZeroBitIdentity:
         for trial in piped.trials:
             if trial.state == TrialState.COMPLETE:
                 assert tuple(objective(dict(trial.params))) == trial.values
+
+
+class DivergingSphere(RacedSphere):
+    """``RacedSphere`` whose member 0 — only in the full rung — fails
+    for every ``k == 0`` candidate."""
+
+    def member_values(self, params, member_indices):
+        if params["k"] == 0 and 0 in member_indices:
+            raise ValueError("member 0 diverged")
+        return super().member_values(params, member_indices)
+
+
+class TestRacedFailures:
+    def _run(self, workers, catch=(ValueError,)):
+        study = _study()
+        PipelinedDispatcher(study, SPACE, workers=workers, batch_size=BATCH).optimize(
+            DivergingSphere(), n_trials=N_TRIALS, catch=catch, racing="rungs=2,full"
+        )
+        return study
+
+    def test_a_failed_rung_item_fails_its_trial_and_leaves_the_race(self):
+        study = self._run(workers=1)
+        states = {t.state for t in study.trials if t.params["k"] == 0}
+        assert TrialState.FAILED in states and TrialState.COMPLETE not in states
+        for trial in study.trials:
+            if trial.state == TrialState.FAILED:
+                assert trial.params["k"] == 0
+            else:
+                assert trial.state in (TrialState.COMPLETE, TrialState.PRUNED)
+        assert _snapshot(self._run(workers=4)) == _snapshot(study)
+
+    def test_an_uncaught_rung_failure_is_raised(self):
+        with pytest.raises(ValueError, match="diverged"):
+            self._run(workers=2, catch=())
+
+
+class TestRacedFrontSoundness:
+    """Racing never loses a front point on the pipelined path."""
+
+    @pytest.mark.parametrize(
+        "aggregate, seed", [("mean", 4), ("mean", 5), ("cvar:0.4", 10)]
+    )
+    def test_complete_front_is_the_exact_front(self, houston_ensemble, aggregate, seed):
+        """The front over a raced study's COMPLETE trials equals the
+        front of a full evaluation of every composition its trials
+        asked for (a rule without the promote-back proof pruned a front
+        point at each of these settings)."""
+        runner = OptimizationRunner(houston_ensemble, space=RACE_SPACE, aggregate=aggregate)
+        study = runner.run_pipelined(
+            n_trials=30,
+            sampler=NSGA2Sampler(population_size=10, seed=seed),
+            racing="rungs=2,full",
+        ).study
+        comps = list(
+            dict.fromkeys(RACE_SPACE.from_params(t.params) for t in study.trials)
+        )
+        exact = [e.objectives(runner.objectives) for e in runner.evaluate(comps)]
+        told = [
+            (RACE_SPACE.from_params(t.params), t.values)
+            for t in study.trials
+            if t.state == TrialState.COMPLETE
+        ]
+        assert {told[i] for i in pareto_front_indices([v for _, v in told])} == {
+            (comps[i], exact[i]) for i in pareto_front_indices(exact)
+        }
 
 
 class TestSpeculativeDeterminism:

@@ -475,6 +475,45 @@ class TestRemoteParity:
             server.server_close()
 
 
+    def test_remote_racing_stores_the_batched_racing_front(self):
+        """Remote rung items race through the batched driver's core: a
+        one-worker remote study on a four-member ensemble stores the
+        front CSV of the batched run of the same spec (every rung adds
+        two members, so no call runs the one-cell fold)."""
+        config = dict(
+            sites=("houston",),
+            ensemble="years=2021-2024",
+            n_hours=336,
+            n_trials=20,
+            population=10,
+            seed=4,
+            aggregate="cvar:0.5",
+            racing="rungs=2,full",
+        )
+        reference = _reference_front(StudySpec(**config), "ref")
+
+        service = StudyService("memory://")
+        service.submit(StudySpec(remote_slots=2, lease_ttl=60.0, **config), "dist")
+        server, base = _serve(service)
+        coordinator = threading.Thread(target=service.worker_loop, daemon=True)
+        coordinator.start()
+        client = RemoteWorkerClient(base, "w0", poll_s=0.05, lease_limit=4)
+        worker = threading.Thread(
+            target=client.run, kwargs={"max_idle": 100}, daemon=True
+        )
+        worker.start()
+        coordinator.join(timeout=240)
+        try:
+            assert not coordinator.is_alive(), "coordinator did not finish"
+            assert service.status("dist")["service"]["state"] == "done"
+            trials = service.storage.load_study("dist").trials
+            assert any(t.state.name == "PRUNED" for t in trials)
+            assert service.front("dist") == reference
+        finally:
+            server.shutdown()
+            server.server_close()
+
+
 #: remote worker subprocess that SIGKILLs itself after acking its Nth
 #: result — the next evaluation is leased but never acknowledged, the
 #: exact in-flight loss lease reclaim exists for

@@ -133,6 +133,10 @@ class TestServiceVerbs:
             {"batch": 5},
             {"batch": 0},
             {"batch": -3},
+            # the service never shards its store, so no value is valid
+            {"shards": 4},
+            {"shards": 0},
+            {"shards": -3},
         ],
     )
     def test_spec_from_document_rejects_bad_values_as_service_errors(self, document):
@@ -263,7 +267,9 @@ class TestHttpApi:
         "document",
         [{"n_trials": -5}, {"population": 0}, {"sites": 123}, {"n_trials": 10**12},
          # unknown keys: the engine field is gone, the batch is the population
-         {"engine": "loop"}, {"batch": 5}, {"batch": 0}, {"batch": -3}],
+         {"engine": "loop"}, {"batch": 5}, {"batch": 0}, {"batch": -3},
+         # the service never shards its store
+         {"shards": 4}, {"shards": 0}, {"shards": -3}],
     )
     def test_bad_spec_values_are_400(self, http_service, document):
         _, base = http_service

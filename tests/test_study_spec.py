@@ -80,6 +80,11 @@ class TestRoundTrip:
             StudySpec(aggregate="cvar:nope")
 
 
+    @pytest.mark.parametrize("shards", [0, -3])
+    def test_shards_below_one_are_rejected(self, shards):
+        with pytest.raises(OptimizationError, match="shards must be >= 1"):
+            StudySpec(shards=shards)
+
     @pytest.mark.parametrize("batch", [5, 0, -3])
     def test_batch_is_not_a_spec_field(self, batch):
         """The batch is the population: a spec cannot name another one."""
